@@ -154,6 +154,17 @@ func mainErr() error {
 		st := res.Stats()
 		fmt.Printf("%% workers=%d strategy=%s time=%s iters=%d\n",
 			st.Workers, st.Strategy, st.Duration, st.TotalIters())
+		// Where each stratum ran: on the calling goroutine to its
+		// fixpoint, or widened onto worker goroutines after that many
+		// derived tuples.
+		fmt.Printf("%% strata: cooperative=%d widened=%d coop_iters=%d coop_time=%s\n",
+			st.CoopStrata, st.WidenedStrata, st.CoopIters, st.CoopDuration)
+		for i, ss := range st.Strata {
+			if ss.Widened {
+				fmt.Printf("%%   stratum %d %v: widened after %d tuples (coop_iters=%d coop_time=%s)\n",
+					i, ss.Preds, ss.WidenedAfter, ss.CoopIters, ss.CoopDuration)
+			}
+		}
 	}
 	return nil
 }

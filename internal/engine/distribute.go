@@ -218,6 +218,9 @@ func sameKey(a, b storage.Tuple, agg storage.AggKind, keyCols []int) bool {
 // gathering into the replicas is safe.
 func (w *worker) flushBatch(dest, predIdx, pathIdx int, b *outBatch) {
 	q := w.run.queues[dest][w.id]
+	if q == nil {
+		q = w.openEdge(dest)
+	}
 	inbox := w.run.inboxes[dest]
 	// One clock refresh stamps the whole batch (the old code read
 	// time.Now() per frame). Refreshing rather than reading matters for
@@ -250,6 +253,13 @@ func (w *worker) flushBatch(dest, predIdx, pathIdx int, b *outBatch) {
 				// fixpoint this run will never declare).
 				b.reset()
 				return
+			}
+			if w.run.coopUntil > 0 {
+				// Cooperative phase: the consumer is not running, and
+				// it is between kernel executions like every worker but
+				// this one, so this goroutine gathers on its behalf.
+				w.run.workers[dest].gather()
+				continue
 			}
 			// Draining our own inbox here is what prevents the cycle
 			// "every ring full, every producer blocked". Under the

@@ -71,6 +71,17 @@ func (rc *runCancel) trigger() {
 	}
 }
 
+// expired reports whether the run is canceled, reading ctx directly as
+// well as the flag: the watcher goroutine that sets the flag may not
+// have run yet. A done context trips the flag, so workers polling it
+// stop too.
+func (rc *runCancel) expired(ctx context.Context) bool {
+	if !rc.canceled() && ctx.Err() != nil {
+		rc.trigger()
+	}
+	return rc.canceled()
+}
+
 // register adds a stratum's barrier to the cancel set; if the run was
 // already canceled the barrier is canceled on the spot (trigger may
 // have run before this stratum started).
@@ -99,20 +110,17 @@ func Run(prog *physical.Program, edb map[string][]storage.Tuple, opts Options) (
 // what was derived.
 func RunContext(ctx context.Context, prog *physical.Program, edb map[string][]storage.Tuple, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
+	// The watcher goroutine below may not have been scheduled by the
+	// time a short run finishes, so a context that is already done is
+	// read synchronously here and at every stratum boundary.
+	if err := ctx.Err(); err != nil {
+		return nil, &CanceledError{Err: err}
+	}
 	setupStart := time.Now()
 
 	rc := &runCancel{}
-	if ctx.Done() != nil {
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-ctx.Done():
-				rc.trigger()
-			case <-stop:
-			}
-		}()
-	}
+	stop := context.AfterFunc(ctx, rc.trigger)
+	defer stop()
 
 	// Per-query setup: register base relations and index them. A
 	// relation covered by a shared PreparedBase attaches its memoized
@@ -164,7 +172,7 @@ func RunContext(ctx context.Context, prog *physical.Program, edb map[string][]st
 	}
 	var budgetErr *BudgetError
 	for si, st := range prog.Strata {
-		if rc.canceled() {
+		if rc.expired(ctx) {
 			return nil, &CanceledError{Stratum: si, Err: ctx.Err()}
 		}
 		ss, err := runStratum(ctx, si, prog, st, store, opts, rc)
@@ -174,6 +182,13 @@ func RunContext(ctx context.Context, prog *physical.Program, edb map[string][]st
 		res.Stats.Strata = append(res.Stats.Strata, *ss)
 		res.Stats.Probe.Add(ss.Probe)
 		res.Stats.Steal.Add(ss.Steal)
+		res.Stats.CoopIters += ss.CoopIters
+		res.Stats.CoopDuration += ss.CoopDuration
+		if ss.Widened {
+			res.Stats.WidenedStrata++
+		} else {
+			res.Stats.CoopStrata++
+		}
 		if ss.Capped && budgetErr == nil {
 			budgetErr = &BudgetError{Stratum: si, Preds: ss.Preds, Tuples: ss.TuplesDerived}
 		}
@@ -208,8 +223,10 @@ type stratumRun struct {
 	// `peer` hands drained frames back to the worker that sized them.
 	recycle [][]*spsc.Queue[*frame]
 	det     *coord.Detector
-	bar     *coord.Barrier
-	clock   *coord.Clock
+	// bar and clock coordinate worker goroutines only, so widen makes
+	// them: the cooperative phase runs without either.
+	bar   *coord.Barrier
+	clock *coord.Clock
 	// clk is the engine-wide coarse clock: refreshed at iteration
 	// boundaries and backoff sleeps, read everywhere a timestamp used
 	// to cost a time.Now() syscall (frame sentAt stamps, gate
@@ -227,6 +244,11 @@ type stratumRun struct {
 	consume [][]bool
 	// types caches column types per relation for comparisons.
 	types map[string][]storage.Type
+
+	// coopUntil is nonzero while the calling goroutine steps the
+	// workers (see coop.go): the derived-tuple count at which it stops.
+	// widen zeroes it before the worker goroutines start.
+	coopUntil int64
 
 	// rc is the run-wide cancellation token; workers poll it at every
 	// safe point (see runCancel).
@@ -276,7 +298,10 @@ func (run *stratumRun) fail(err error) {
 	run.errMu.Unlock()
 }
 
-func runStratum(ctx context.Context, si int, prog *physical.Program, st *physical.Stratum, store *relStore, opts Options, rc *runCancel) (*StratumStats, error) {
+// newStratumRun builds a stratum's shared state and its n workers,
+// hash-partitioned as they stay for the whole evaluation. Nothing here
+// is specific to running the workers on goroutines: widen adds that.
+func newStratumRun(prog *physical.Program, st *physical.Stratum, store *relStore, opts Options, rc *runCancel) *stratumRun {
 	n := opts.Workers
 	run := &stratumRun{
 		prog:  prog,
@@ -285,23 +310,13 @@ func runStratum(ctx context.Context, si int, prog *physical.Program, st *physica
 		opts:  opts,
 		n:     n,
 		det:   coord.NewDetector(n),
-		bar:   coord.NewBarrier(n),
-		clock: coord.NewClock(n, opts.Slack),
 		clk:   coord.NewCoarseClock(),
 		types: make(map[string][]storage.Type),
 		rc:    rc,
 	}
-	rc.register(run.bar)
-	begin := time.Now()
 
-	// Recycle rings only need to hold frames awaiting reuse, not the
-	// full data-ring backlog; overflow drops to the GC, so a small ring
-	// keeps steady-state reuse while not doubling the n² ring memory
-	// zeroed at every stratum start.
-	recycleCap := opts.QueueCap / 16
-	if recycleCap < 64 {
-		recycleCap = 64
-	}
+	// The ring tables start empty: an edge's rings are allocated by its
+	// producer at the first push (worker.openEdge).
 	run.queues = make([][]*spsc.Queue[*frame], n)
 	run.inboxes = make([]*coord.Inbox, n)
 	run.recycle = make([][]*spsc.Queue[*frame], n)
@@ -309,12 +324,6 @@ func runStratum(ctx context.Context, si int, prog *physical.Program, st *physica
 		run.queues[i] = make([]*spsc.Queue[*frame], n)
 		run.inboxes[i] = coord.NewInbox(n)
 		run.recycle[i] = make([]*spsc.Queue[*frame], n)
-		for j := range run.queues[i] {
-			if i != j {
-				run.queues[i][j] = spsc.New[*frame](opts.QueueCap)
-				run.recycle[i][j] = spsc.New[*frame](recycleCap)
-			}
-		}
 	}
 	run.widths = make([]int, len(st.Preds))
 	for i, p := range st.Preds {
@@ -358,7 +367,6 @@ func runStratum(ctx context.Context, si int, prog *physical.Program, st *physica
 	}
 	collect(st.BaseRules)
 	collect(st.RecRules)
-	run.initSteal()
 
 	run.workers = make([]*worker, n)
 	for i := 0; i < n; i++ {
@@ -371,24 +379,20 @@ func runStratum(ctx context.Context, si int, prog *physical.Program, st *physica
 		WaitTime:   make([]time.Duration, n),
 		BusyTime:   make([]time.Duration, n),
 	}
+	return run
+}
 
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(w *worker) {
-			defer wg.Done()
-			if run.opts.Strategy == coord.Global && st.Recursive {
-				w.runGlobal()
-			} else {
-				w.runAsync()
-			}
-		}(run.workers[i])
+func runStratum(ctx context.Context, si int, prog *physical.Program, st *physical.Stratum, store *relStore, opts Options, rc *runCancel) (*StratumStats, error) {
+	begin := time.Now()
+	run := newStratumRun(prog, st, store, opts, rc)
+	if !run.cooperate(ctx, coopLimit) {
+		run.widen()
+		run.fanOut()
 	}
-	wg.Wait()
 	if run.err != nil {
 		return nil, run.err
 	}
-	if rc.canceled() {
+	if rc.expired(ctx) {
 		// Workers bailed at safe points; their replicas may hold an
 		// arbitrary prefix of the fixpoint. Nothing is materialized —
 		// the whole run reports the context's error.

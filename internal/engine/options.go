@@ -185,16 +185,20 @@ func imbalance(busy []time.Duration) float64 {
 
 // StratumStats describes one stratum's execution.
 type StratumStats struct {
-	Preds          []string
-	Recursive      bool
-	LocalIters     []int64 // per worker
-	TuplesSent     int64   // through SPSC buffers
-	TuplesDerived  int64   // kernel output volume incl. self-bound
-	TuplesMerged   int64   // replica state changes
-	WaitTime       []time.Duration
-	Duration       time.Duration
-	ResultTuples   map[string]int
-	GlobalBarriers int64 // Global strategy rounds
+	Preds         []string
+	Recursive     bool
+	LocalIters    []int64 // per worker
+	TuplesSent    int64   // through SPSC buffers
+	TuplesDerived int64   // kernel output volume incl. self-bound
+	TuplesMerged  int64   // replica state changes
+	WaitTime      []time.Duration
+	Duration      time.Duration
+	ResultTuples  map[string]int
+	// GlobalBarriers counts Global strategy rounds. It is 0 for a
+	// stratum that never widened: the barrier belongs to the worker
+	// goroutines, and a stratum that finished cooperatively never
+	// engaged its strategy.
+	GlobalBarriers int64
 	// Capped reports that MaxLocalIters fired with deltas still
 	// pending: the fixpoint was NOT reached (benchmarks report this as
 	// the OOM/DNF analogue for diverging baselines).
@@ -211,6 +215,20 @@ type StratumStats struct {
 	// Steal sums the workers' morsel-scheduler counters for this
 	// stratum.
 	Steal StealStats
+	// Cooperative start (coop.go): the stratum begins with the calling
+	// goroutine stepping every worker and widens onto worker goroutines
+	// once it has derived coopThreshold tuples. CoopIters and
+	// CoopDuration are the local iterations (all workers) and wall time
+	// of that phase; both are 0 when it was skipped because a base
+	// rule's scan was already past the threshold. Widened reports that
+	// worker goroutines were started, and WidenedAfter how many tuples
+	// had been derived when they were (0 with Widened set: the phase
+	// was skipped). BusyTime of the cooperative phase is credited to
+	// the worker being stepped; LocalIters includes CoopIters.
+	CoopIters    int64
+	CoopDuration time.Duration
+	Widened      bool
+	WidenedAfter int64
 }
 
 // Imbalance is the stratum's busy-time imbalance ratio (max/mean); 1.0
@@ -235,6 +253,14 @@ type Stats struct {
 	// Steal sums the per-stratum morsel-scheduler counters over the
 	// whole run.
 	Steal StealStats
+	// CoopStrata counts the strata that reached their fixpoint on the
+	// calling goroutine and WidenedStrata those that started worker
+	// goroutines; CoopIters and CoopDuration sum the strata's
+	// cooperative phases (see StratumStats).
+	CoopStrata    int
+	WidenedStrata int
+	CoopIters     int64
+	CoopDuration  time.Duration
 }
 
 // BusyTime sums each worker's evaluation time over all strata.

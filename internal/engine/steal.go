@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"repro/internal/coord"
+	"repro/internal/deque"
 	"repro/internal/storage"
 )
 
@@ -101,8 +102,10 @@ var (
 )
 
 // initSteal decides whether the steal plane is on for this stratum and
-// which (pred, path) deltas are safe to publish. Called before workers
-// are constructed (newWorker sizes deques and arenas from stealOn).
+// which (pred, path) deltas are safe to publish, and gives every worker
+// its deque and morsel arena. Called by widen: until the workers run on
+// their own goroutines there is nobody to steal, stealOn is false and
+// none of this is allocated.
 func (run *stratumRun) initSteal() {
 	run.stealable = make([][]bool, len(run.st.Preds))
 	any := false
@@ -132,8 +135,18 @@ func (run *stratumRun) initSteal() {
 		}
 	}
 	run.stealOn = run.n > 1 && !run.opts.StealOff && any
-	if run.stealOn {
-		run.steal = make([]stealShard, run.n)
+	if !run.stealOn {
+		return
+	}
+	run.steal = make([]stealShard, run.n)
+	for _, w := range run.workers {
+		// Deque and arena are the same size, so a publish can only
+		// fail defensively (see shareDelta).
+		w.deque = deque.New(morselCap)
+		w.morselBuf = make([]morsel, morselCap)
+		// One bound method value, built here so gate backoffs can hand
+		// it to coord.Backoff.Help without allocating per wait.
+		w.helpFn = w.trySteal
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"repro/internal/coord"
 	"repro/internal/deque"
 	"repro/internal/queueing"
+	"repro/internal/spsc"
 	"repro/internal/storage"
 )
 
@@ -79,18 +80,38 @@ type worker struct {
 	// morselN is the arena high-water mark, reset once finishMorsels
 	// has joined on every published morsel. steal counts this worker's
 	// scheduler activity (single writer; folded after the worker
-	// exits). All nil/zero when run.stealOn is false.
+	// exits). initSteal allocates the deque and arena when the workers
+	// widen onto goroutines; all nil/zero when run.stealOn is false.
 	deque     *deque.Deque
 	morselBuf []morsel
 	morselN   int
 	steal     StealStats
 	helpFn    func() bool
 
+	// seedRule and seedDone are runBaseRules' cursor — the base rule it
+	// is in and how many tuples of this worker's stripe of that rule's
+	// outer scan it has evaluated — and carry is the unevaluated tail
+	// of a delta. Both exist for the cooperative phase (coop.go), which
+	// stops a seed or a local iteration the moment the stratum has
+	// proved big; the worker's own goroutine then resumes from the
+	// cursor and evaluates the carry in its first iteration.
+	seedRule, seedDone int
+	carry              deltaCarry
+
 	localIters    int64
 	waitTime      time.Duration
 	busyTime      time.Duration
 	merged        int64
 	droppedDeltas bool
+}
+
+// deltaCarry is the tail of a taken delta that has not been evaluated.
+// The rows stay valid until the replica's next takeDelta, so the
+// iteration that evaluates a carry leaves that replica's newer delta
+// pending.
+type deltaCarry struct {
+	pred, path int
+	rows       []storage.Tuple
 }
 
 // selfRef is one buffered self-bound derivation: an offset into the
@@ -177,18 +198,10 @@ func newWorker(run *stratumRun, id int) *worker {
 			}
 		}
 	}
+	arrivals := make([]queueing.ArrivalTracker, run.n)
 	w.arrivals = make([]*queueing.ArrivalTracker, run.n)
 	for j := range w.arrivals {
-		w.arrivals[j] = &queueing.ArrivalTracker{}
-	}
-	if run.stealOn {
-		// Deque and arena are the same size, so a publish can only
-		// fail defensively (see shareDelta).
-		w.deque = deque.New(morselCap)
-		w.morselBuf = make([]morsel, morselCap)
-		// One bound method value, built here so gate backoffs can hand
-		// it to coord.Backoff.Help without allocating per wait.
-		w.helpFn = w.trySteal
+		w.arrivals[j] = &arrivals[j]
 	}
 	// Compile every rule variant into this worker's cursor kernels
 	// (replicas must exist first: join frames resolve replica indexes
@@ -211,6 +224,18 @@ func newWorker(run *stratumRun, id int) *worker {
 	return w
 }
 
+// coopSpent reports, during the cooperative phase only, that the
+// stratum has derived its threshold and this worker should stop where
+// it is so the workers can widen onto goroutines. The self-bound
+// derivations still buffered count too (run.derived sees them only at
+// the next drain), so a high-fan-out seed or delta is cut within one
+// block's derivations plus one unflushed out-batch per destination of
+// the threshold, rather than whenever it finishes.
+func (w *worker) coopSpent() bool {
+	until := w.run.coopUntil
+	return until > 0 && w.run.derived.Load()+int64(len(w.selfRefs)) >= until
+}
+
 // canceled reports whether the run's context was canceled. One shared
 // atomic load of a read-mostly word — cheap enough for per-tuple seed
 // loops and per-block delta rechecks.
@@ -218,7 +243,7 @@ func (w *worker) canceled() bool { return w.run.rc.canceled() }
 
 // pendingDelta counts tuples waiting in consumed delta queues.
 func (w *worker) pendingDelta() int {
-	total := 0
+	total := len(w.carry.rows)
 	for _, paths := range w.replicas {
 		for _, rep := range paths {
 			total += len(rep.delta)
@@ -248,6 +273,25 @@ func (w *worker) gather() int {
 		})
 	})
 	return total
+}
+
+// openEdge allocates the rings of the edge from this worker to dest —
+// the data ring and the recycle ring its frames come back through — at
+// the first push, so a stratum pays for the edges it uses and an idle
+// one for none. Only the producer writes the two table slots, before
+// the push and therefore before the inbox flag that makes the consumer
+// look at them (push, then flag; swap, then drain): the consumer reads
+// both slots only after seeing that flag.
+//
+// An edge opened during the cooperative phase gets coopQueueCap slots:
+// a stratum that stays under the threshold never has more in flight,
+// and widen regrows what a bigger one opened (growRings).
+func (w *worker) openEdge(dest int) *spsc.Queue[*frame] {
+	data, recycle := w.run.ringCaps()
+	q := spsc.New[*frame](data)
+	w.run.recycle[w.id][dest] = spsc.New[*frame](recycle)
+	w.run.queues[dest][w.id] = q
+	return q
 }
 
 // recycleFrame hands a drained frame back to the producer that owns it
@@ -299,10 +343,15 @@ func (w *worker) inboxNonEmpty() bool {
 }
 
 // runBaseRules seeds the stratum: every worker evaluates a stripe of
-// each base rule's outer relation.
+// each base rule's outer relation. It resumes from the seed cursor and
+// does nothing once the seed is complete, so every loop entry point
+// calls it; only the cooperative phase ever leaves it early with the
+// run still live.
 func (w *worker) runBaseRules() {
 	busyStart := w.run.clk.Refresh()
-	for _, k := range w.baseKernels {
+seed:
+	for ; w.seedRule < len(w.baseKernels); w.seedRule, w.seedDone = w.seedRule+1, 0 {
+		k := w.baseKernels[w.seedRule]
 		if k.outer == nil {
 			// Fact-style rule (conditions/lets only): one execution.
 			if w.id == 0 {
@@ -311,16 +360,21 @@ func (w *worker) runBaseRules() {
 			continue
 		}
 		tuples := w.run.store.scan(k.outer.Pred)
-		for i := w.id; i < len(tuples); i += w.run.n {
+		for i := w.id + w.seedDone*w.run.n; i < len(tuples); i += w.run.n {
 			if w.canceled() {
 				// Abandon the seed mid-stripe: the run returns an
 				// error and nothing here is materialized.
 				return
 			}
+			if w.coopSpent() {
+				// Keep the cursor; distribute what was derived.
+				break seed
+			}
 			if k.bindOuter(tuples[i]) {
 				w.exec(k)
 			}
 			w.drainChecks()
+			w.seedDone++
 		}
 	}
 	w.busyTime += time.Duration(w.run.clk.Refresh() - busyStart)
@@ -361,6 +415,7 @@ func (w *worker) runAsync() {
 			}
 		}
 		w.iterate()
+		w.run.clock.Advance(w.id)
 	}
 }
 
@@ -511,6 +566,14 @@ func (w *worker) sspGate() {
 // tuple; the block itself stays small enough to sit in L1/L2.
 const deltaBlock = 256
 
+// coopDeltaBlock is the block size during the cooperative phase, where
+// the block boundary is also where a step notices that the stratum has
+// proved big (coopSpent). A hub's delta rows can each derive hundreds
+// of tuples, and a 256-row block of them overshoots the threshold
+// eightfold on one goroutine; 16 keeps the overshoot near one block's
+// derivations while still amortising the per-block checks.
+const coopDeltaBlock = 16
+
 // selfDrainWords bounds the self-pending arena. Left unchecked, one
 // local iteration of a dense aggregate workload buffers every self-bound
 // derivation until the iteration ends — tens of MB of doubling churn —
@@ -540,12 +603,20 @@ func (w *worker) iterate() {
 	capped := w.canceled() ||
 		(w.run.opts.MaxLocalIters > 0 && w.localIters >= int64(w.run.opts.MaxLocalIters)) ||
 		(w.run.opts.MaxTuples > 0 && w.run.derived.Load() > w.run.opts.MaxTuples)
+replicas:
 	for pi, paths := range w.replicas {
 		for path, rep := range paths {
-			if len(rep.delta) == 0 {
+			var delta []storage.Tuple
+			if c := w.carry; c.rows != nil && c.pred == pi && c.path == path {
+				// Finish the delta the cooperative phase cut short; the
+				// replica's newer rows wait for the next iteration (a
+				// takeDelta now would recycle the buffer these view).
+				delta, w.carry = c.rows, deltaCarry{}
+			} else if len(rep.delta) > 0 {
+				delta = rep.takeDelta()
+			} else {
 				continue
 			}
-			delta := rep.takeDelta()
 			processed += len(delta)
 			if capped {
 				w.droppedDeltas = true
@@ -559,7 +630,11 @@ func (w *worker) iterate() {
 			}
 			kernels := w.recKernels[pi][path]
 			busyStart := w.run.clk.Refresh()
-			for lo := 0; lo < len(delta); lo += deltaBlock {
+			block := deltaBlock
+			if w.run.coopUntil > 0 {
+				block = coopDeltaBlock
+			}
+			for lo := 0; lo < len(delta); lo += block {
 				// Re-check the tuple budget (and the cancel flag) per
 				// block: diverging programs can explode inside a
 				// single iteration.
@@ -572,13 +647,21 @@ func (w *worker) iterate() {
 					w.droppedDeltas = true
 					break
 				}
-				hi := lo + deltaBlock
+				if w.coopSpent() {
+					// The stratum has proved big mid-delta: stop here,
+					// distribute what was derived, and let this
+					// worker's own goroutine evaluate the rest.
+					w.carry = deltaCarry{pred: pi, path: path, rows: delta[lo:]}
+					processed -= len(delta) - lo
+					w.busyTime += time.Duration(w.run.clk.Refresh() - busyStart)
+					break replicas
+				}
+				hi := lo + block
 				if hi > len(delta) {
 					hi = len(delta)
 				}
-				block := delta[lo:hi]
 				for _, k := range kernels {
-					w.execBlock(k, block)
+					w.execBlock(k, delta[lo:hi])
 				}
 			}
 			w.busyTime += time.Duration(w.run.clk.Refresh() - busyStart)
@@ -591,5 +674,4 @@ func (w *worker) iterate() {
 	w.flushAll()
 	w.service.Record(processed, float64(w.run.clk.Refresh()-start)/1e9)
 	w.localIters++
-	w.run.clock.Advance(w.id)
 }

@@ -46,6 +46,13 @@ type Metrics struct {
 	StealAttempts atomic.Int64
 	StealFailures atomic.Int64
 
+	// Cooperative start, summed over completed queries: strata that
+	// reached their fixpoint on the request's goroutine, and strata
+	// that widened onto worker goroutines. A service of point queries
+	// reads almost all cooperative.
+	StrataCooperative atomic.Int64
+	StrataWidened     atomic.Int64
+
 	// SetupSeconds distributes per-query setup time (base-relation
 	// registration + index attach/build before evaluation): warm
 	// queries against a prepared base land in the lowest buckets, cold
@@ -167,6 +174,8 @@ func (m *Metrics) WritePrometheus(w io.Writer, counters []counter, gauges ...gau
 	emit("dcserve_steal_stolen_total", "Published morsels executed by a worker other than their owner.", m.StealStolen.Load())
 	emit("dcserve_steal_attempts_total", "Steal probes against a peer's deque.", m.StealAttempts.Load())
 	emit("dcserve_steal_failures_total", "Steal probes that lost the race for an already-drained deque.", m.StealFailures.Load())
+	emit("dcserve_strata_cooperative_total", "Strata that reached their fixpoint on the calling goroutine, without starting workers.", m.StrataCooperative.Load())
+	emit("dcserve_strata_widened_total", "Strata that crossed the cooperative threshold and fanned out onto worker goroutines.", m.StrataWidened.Load())
 	emit("dcserve_mutations_total", "Mutation batches applied.", m.MutationsOK.Load())
 	emit("dcserve_mutations_failed_total", "Mutation batches that failed validation or application.", m.MutationsFailed.Load())
 	emit("dcserve_mutations_rejected_total", "Mutation batches shed by admission control.", m.MutationsRejected.Load())

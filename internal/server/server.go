@@ -225,6 +225,10 @@ type queryStats struct {
 	Workers    int     `json:"workers"`
 	Iterations int64   `json:"iterations"`
 	Tuples     int     `json:"tuples"`
+	// CooperativeStrata is how many of the query's strata reached
+	// their fixpoint on the request's own goroutine; the others
+	// widened onto the granted workers.
+	CooperativeStrata int `json:"cooperative_strata"`
 }
 
 // decodeParams converts JSON param values into the Go types WithParam
@@ -407,6 +411,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Workers:    granted,
 		Iterations: stats.TotalIters(),
 		Tuples:     total,
+
+		CooperativeStrata: stats.CoopStrata,
 	}
 
 	if truncated {
@@ -428,6 +434,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.metrics.StealStolen.Add(stats.Steal.MorselsStolen)
 	s.metrics.StealAttempts.Add(stats.Steal.Attempts)
 	s.metrics.StealFailures.Add(stats.Steal.Failures)
+	s.metrics.StrataCooperative.Add(int64(stats.CoopStrata))
+	s.metrics.StrataWidened.Add(int64(stats.WidenedStrata))
 	s.metrics.SetupSeconds.Observe(stats.SetupDuration)
 	if res.DemandRewritten() {
 		s.metrics.DemandRewrites.Add(1)

@@ -451,6 +451,61 @@ func TestBoundQueryDemandMetrics(t *testing.T) {
 	}
 }
 
+// TestCooperativeStrataVisible: a point query over a small graph
+// finishes every stratum on the request's goroutine, and says so in its
+// stats object and on /metrics; a closure big enough to cross the
+// engine's threshold moves the widened counter instead.
+func TestCooperativeStrataVisible(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	registerCycle(t, ts, "small", 16)
+	registerCycle(t, ts, "big", 192) // TC of a 192-cycle: 36 864 tuples
+	resp, qr := postQuery(t, ts, queryRequest{
+		Dataset: "small",
+		Program: tcProgram + "\nreach(Y) :- tc($src, Y).\n",
+		Params:  map[string]any{"src": 3},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	if qr.Stats.CooperativeStrata < 2 {
+		t.Fatalf("bound query reports %d cooperative strata, want all of them: %+v", qr.Stats.CooperativeStrata, qr.Stats)
+	}
+	metric := func(name string) int {
+		t.Helper()
+		mresp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mresp.Body.Close()
+		body, _ := io.ReadAll(mresp.Body)
+		for _, line := range strings.Split(string(body), "\n") {
+			var v int
+			if _, err := fmt.Sscanf(line, name+" %d", &v); err == nil {
+				return v
+			}
+		}
+		t.Fatalf("metrics missing %s", name)
+		return 0
+	}
+	if got := metric("dcserve_strata_cooperative_total"); got != qr.Stats.CooperativeStrata {
+		t.Fatalf("dcserve_strata_cooperative_total = %d, want %d", got, qr.Stats.CooperativeStrata)
+	}
+	if got := metric("dcserve_strata_widened_total"); got != 0 {
+		t.Fatalf("dcserve_strata_widened_total = %d after a point query", got)
+	}
+
+	resp, qr = postQuery(t, ts, queryRequest{Dataset: "big", Program: tcProgram, Relations: []string{"tc"}, Limit: 1})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	if qr.Stats.CooperativeStrata != 0 {
+		t.Fatalf("full closure reports %d cooperative strata", qr.Stats.CooperativeStrata)
+	}
+	if got := metric("dcserve_strata_widened_total"); got != 1 {
+		t.Fatalf("dcserve_strata_widened_total = %d after a full closure, want 1", got)
+	}
+}
+
 // chainTSV renders n disjoint 2-chains (2i → 2i+1): large enough for
 // the arc index build to cost real time, while TC over it derives
 // nothing beyond the edges themselves.
