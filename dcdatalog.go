@@ -656,13 +656,21 @@ func (r *Result) DemandCardinalities() (est, actual int64) {
 // Relation returns the raw tuples of a derived relation.
 func (r *Result) Relation(name string) []Tuple { return r.res.Relations[name] }
 
-// Rows decodes a derived relation into Go values per its schema.
+// Rows decodes a derived relation into Go values per its schema. The
+// rows share one backing array; each is capped at its length, so an
+// append to a row copies it instead of overwriting the next.
 func (r *Result) Rows(name string) [][]any {
 	schema := r.analysis.Schemas[name]
 	tuples := r.res.Relations[name]
 	out := make([][]any, len(tuples))
+	if len(tuples) == 0 {
+		return out
+	}
+	arity := schema.Arity()
+	vals := make([]any, len(tuples)*arity)
 	for i, t := range tuples {
-		row := make([]any, len(t))
+		row := vals[:arity:arity]
+		vals = vals[arity:]
 		for j, v := range t {
 			switch schema.ColType(j) {
 			case storage.TFloat:

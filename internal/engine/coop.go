@@ -47,20 +47,17 @@ var coopLimit int64 = coopThreshold
 // stratum allocates 1 KiB per edge instead of 34.
 const coopQueueCap = 64
 
-// ringCaps returns the data- and recycle-ring capacities for an edge
-// opened now. Recycle rings only need to hold frames awaiting reuse,
-// not the full data-ring backlog; overflow drops to the GC, so a small
-// ring keeps steady-state reuse without doubling the ring memory.
-func (run *stratumRun) ringCaps() (data, recycle int) {
-	data = run.opts.QueueCap
-	if run.coopUntil > 0 && data > coopQueueCap {
-		data = coopQueueCap
+// ringCap returns the capacity of both rings of an edge opened now. The
+// recycle ring is as large as the data ring: one iteration's burst to a
+// peer can fill the data ring, and the consumer hands all of those
+// frames back before the producer reclaims any, so a smaller recycle
+// ring drops the overflow to the GC and the producer allocates it
+// afresh on the next burst.
+func (run *stratumRun) ringCap() int {
+	if run.coopUntil > 0 && run.opts.QueueCap > coopQueueCap {
+		return coopQueueCap
 	}
-	recycle = data / 16
-	if recycle < 64 {
-		recycle = 64
-	}
-	return data, recycle
+	return run.opts.QueueCap
 }
 
 // growRings replaces every ring the cooperative phase opened small
@@ -68,8 +65,8 @@ func (run *stratumRun) ringCaps() (data, recycle int) {
 // the worker goroutines exchange through exactly the rings they would
 // have had without a cooperative phase.
 func (run *stratumRun) growRings() {
-	data, recycle := run.ringCaps()
-	regrow := func(q *spsc.Queue[*frame], capacity int) *spsc.Queue[*frame] {
+	capacity := run.ringCap()
+	regrow := func(q *spsc.Queue[*frame]) *spsc.Queue[*frame] {
 		if q == nil || q.Cap() >= capacity {
 			return q
 		}
@@ -79,8 +76,8 @@ func (run *stratumRun) growRings() {
 	}
 	for i := range run.queues {
 		for j := range run.queues[i] {
-			run.queues[i][j] = regrow(run.queues[i][j], data)
-			run.recycle[i][j] = regrow(run.recycle[i][j], recycle)
+			run.queues[i][j] = regrow(run.queues[i][j])
+			run.recycle[i][j] = regrow(run.recycle[i][j])
 		}
 	}
 }

@@ -27,10 +27,12 @@ import (
 
 const neverWiden = math.MaxInt64
 
-var paperLimits = []struct {
+type paperLimit struct {
 	name  string
 	limit int64
-}{
+}
+
+var paperLimits = []paperLimit{
 	{"parallel", 0}, // every stratum on goroutines from the first tuple: the old behaviour
 	{"limit1", 1},
 	{"limit64", 64},
@@ -194,6 +196,13 @@ func assertSame(t *testing.T, q queries.Query, got, want []storage.Tuple) {
 // indexes) and warm (a second Exec of the same Prepared against the
 // memoised indexes), all ≡ internal/naive.
 func TestCoopPaperQueriesAtEveryLimit(t *testing.T) {
+	paperDifferential(t, paperLimits)
+}
+
+// paperDifferential runs every paper case at each of the given
+// thresholds, strategies, worker counts and steal settings, cold and
+// warm, against internal/naive.
+func paperDifferential(t *testing.T, limits []paperLimit) {
 	strategies := []dcdatalog.Strategy{dcdatalog.Global, dcdatalog.SSP, dcdatalog.DWS}
 	for _, c := range paperCases() {
 		t.Run(c.q.Name, func(t *testing.T) {
@@ -205,7 +214,7 @@ func TestCoopPaperQueriesAtEveryLimit(t *testing.T) {
 			for k, v := range c.params {
 				params = append(params, dcdatalog.WithParam(k, v))
 			}
-			for _, l := range paperLimits {
+			for _, l := range limits {
 				t.Run(l.name, func(t *testing.T) {
 					engine.SetCoopLimit(t, l.limit)
 					widened := 0
@@ -252,11 +261,14 @@ func TestCoopPaperQueriesAtEveryLimit(t *testing.T) {
 // the smallest fixpoints the engine sees. TC and SG take the
 // incremental pipeline, CC the recompute fallback.
 func TestCoopViewStreamAtLimits(t *testing.T) {
+	viewStreamDifferential(t, []paperLimit{{"limit1", 1}, {"never-widen", neverWiden}})
+}
+
+// viewStreamDifferential runs the view stream at each given threshold
+// under every strategy.
+func viewStreamDifferential(t *testing.T, limits []paperLimit) {
 	strategies := []dcdatalog.Strategy{dcdatalog.Global, dcdatalog.SSP, dcdatalog.DWS}
-	for _, l := range []struct {
-		name  string
-		limit int64
-	}{{"limit1", 1}, {"never-widen", neverWiden}} {
+	for _, l := range limits {
 		for _, q := range []queries.Query{queries.TC(), queries.SG(), queries.CC()} {
 			for si, strat := range strategies {
 				t.Run(fmt.Sprintf("%s/%s/%v", l.name, q.Name, strat), func(t *testing.T) {

@@ -53,42 +53,58 @@ type dedupSlot struct {
 
 const outBatchMinSlots = 64
 
-func newOutBatch(pred *physical.Pred, partial bool) *outBatch {
-	b := &outBatch{
+// newOutBatch returns an empty batch for pred, built in the buffers of
+// b (a batch an earlier run handed back) when it is not nil. Nothing of
+// b's contents is trusted: rows are appended from zero and the slot
+// table is cleared.
+func newOutBatch(pred *physical.Pred, partial bool, b *outBatch) *outBatch {
+	if b == nil {
+		b = &outBatch{}
+	}
+	slots := b.slots
+	*b = outBatch{
 		agg:      pred.Plan.Agg,
 		groupLen: pred.Plan.GroupLen,
 		partial:  partial,
 		width:    wireWidth(pred),
 		extCol:   -1,
 		gen:      1,
+		hashes:   b.hashes[:0],
+		words:    b.words[:0],
+		keyCols:  b.keyCols[:0],
 	}
 	if b.agg != storage.AggNone {
 		b.valType = pred.Plan.Schema.ColType(pred.Plan.Schema.Arity() - 1)
 	}
 	if partial {
-		b.slots = make([]dedupSlot, outBatchMinSlots)
-		b.mask = outBatchMinSlots - 1
+		if len(slots) == 0 {
+			slots = make([]dedupSlot, outBatchMinSlots)
+		} else {
+			clear(slots)
+		}
+		b.slots = slots
+		b.mask = uint64(len(slots) - 1)
 		switch b.agg {
 		case storage.AggNone:
 			// identity = whole tuple
 		case storage.AggMin, storage.AggMax:
-			b.keyCols = upto(b.groupLen)
+			b.keyCols = upto(b.keyCols, b.groupLen)
 		case storage.AggCount:
-			b.keyCols = upto(b.groupLen + 1) // group + contributor
+			b.keyCols = upto(b.keyCols, b.groupLen+1) // group + contributor
 			b.extCol = b.groupLen
 		case storage.AggSum:
 			// group + contributor (value sits between them).
-			b.keyCols = append(upto(b.groupLen), b.groupLen+1)
+			b.keyCols = append(upto(b.keyCols, b.groupLen), b.groupLen+1)
 			b.extCol = b.groupLen + 1
 		}
 	}
 	return b
 }
 
-func upto(n int) []int {
-	cols := make([]int, n)
-	for i := range cols {
-		cols[i] = i
+// upto appends the column indexes 0..n-1 to cols.
+func upto(cols []int, n int) []int {
+	for i := 0; i < n; i++ {
+		cols = append(cols, i)
 	}
 	return cols
 }

@@ -28,7 +28,9 @@ import (
 // recycled producer-locally: a consumer returns each drained frame to
 // the worker that sized it through a per-edge SPSC recycle ring, so the
 // steady-state exchange path allocates nothing and no shared pool mutex
-// or GC-emptied sync.Pool sits on the hot path.
+// or GC-emptied sync.Pool sits on the hot path. Between runs the frames
+// stay on their producer's free list, which travels with the worker
+// through the pool of run scratch (scratch.go).
 type frame struct {
 	pred   int32
 	path   int32
@@ -385,6 +387,10 @@ func newStratumRun(prog *physical.Program, st *physical.Stratum, store *relStore
 func runStratum(ctx context.Context, si int, prog *physical.Program, st *physical.Stratum, store *relStore, opts Options, rc *runCancel) (*StratumStats, error) {
 	begin := time.Now()
 	run := newStratumRun(prog, st, store, opts, rc)
+	// Deferred, so that every exit hands the workers back: by then the
+	// cooperative phase has returned, fanOut has joined every worker
+	// goroutine, and the replicas are materialized.
+	defer run.release()
 	if !run.cooperate(ctx, coopLimit) {
 		run.widen()
 		run.fanOut()
@@ -399,16 +405,21 @@ func runStratum(ctx context.Context, si int, prog *physical.Program, st *physica
 		return nil, &CanceledError{Stratum: si, Err: ctx.Err()}
 	}
 
-	// Materialize primary replicas into the global store.
+	// Materialize primary replicas into the global store, each worker's
+	// views appended straight into one presized slice.
 	run.stats.ResultTuples = make(map[string]int)
 	for pi, p := range st.Preds {
-		var tuples []storage.Tuple
+		owners := run.workers
 		if p.Plan.Broadcast {
-			tuples = run.workers[0].replicas[pi][0].materialize()
-		} else {
-			for _, w := range run.workers {
-				tuples = append(tuples, w.replicas[pi][0].materialize()...)
-			}
+			owners = owners[:1]
+		}
+		n := 0
+		for _, w := range owners {
+			n += w.replicas[pi][0].size()
+		}
+		tuples := make([]storage.Tuple, 0, n)
+		for _, w := range owners {
+			tuples = w.replicas[pi][0].appendTo(tuples)
 		}
 		store.add(p.Plan.Name, tuples, prog.BaseLookups[p.Plan.Name], opts.Workers)
 		run.stats.ResultTuples[p.Plan.Name] = len(tuples)

@@ -441,22 +441,59 @@ func (r *replica) mergeFrameScan(f *frame) int {
 	return changed
 }
 
-// materialize renders the replica's contents as schema-order tuples.
-func (r *replica) materialize() []storage.Tuple {
+// appendTo appends the replica's contents as schema-order tuples to dst:
+// arena views for sets, rows carved from one fresh backing array for
+// aggregates. Neither aliases anything the replica recycles.
+func (r *replica) appendTo(dst []storage.Tuple) []storage.Tuple {
 	if r.agg == storage.AggNone {
-		return r.set.Snapshot()
+		return r.set.AppendTo(dst)
 	}
-	out := make([]storage.Tuple, 0, r.aggTree.Len())
+	width := r.groupLen + 1
+	words := make([]storage.Value, r.aggTree.Len()*width)
 	r.aggTree.Ascend(func(key storage.Tuple, val storage.Value) bool {
-		row := make(storage.Tuple, r.groupLen+1)
+		row := storage.Tuple(words[:width:width])
+		words = words[width:]
 		for i, c := range r.keyOrder {
 			row[c] = key[i]
 		}
 		row[r.groupLen] = val
-		out = append(out, row)
+		dst = append(dst, row)
 		return true
 	})
-	return out
+	return dst
+}
+
+// deltaBufs are a replica's delta queue buffers, recycled across runs
+// through its worker's scratch.
+type deltaBufs struct {
+	rows  [2][]storage.Tuple
+	words [2][]storage.Value
+	slots []dedupSlot
+}
+
+// adoptDelta installs recycled delta buffers. Their contents are not
+// trusted: the queues start empty and the coalescing table is cleared.
+func (r *replica) adoptDelta(d deltaBufs) {
+	r.delta, r.deltaSpare = d.rows[0][:0], d.rows[1][:0]
+	r.deltaWords = [2][]storage.Value{d.words[0][:0], d.words[1][:0]}
+	if len(d.slots) > 0 {
+		clear(d.slots)
+		r.deltaSlots, r.deltaMask, r.deltaGen = d.slots, uint64(len(d.slots)-1), 1
+	}
+}
+
+// releaseDelta takes the delta buffers out of the replica for reuse.
+// The row lists are cleared to their capacity: their views name the
+// relation's arena and retired word buffers, which a pooled list must
+// not keep alive.
+func (r *replica) releaseDelta() deltaBufs {
+	d := deltaBufs{rows: [2][]storage.Tuple{r.delta, r.deltaSpare}, words: r.deltaWords, slots: r.deltaSlots}
+	for i, rows := range d.rows {
+		clear(rows[:cap(rows)])
+		d.rows[i] = rows[:0]
+	}
+	r.delta, r.deltaSpare, r.deltaWords, r.deltaSlots = nil, nil, [2][]storage.Value{}, nil
+	return d
 }
 
 // size reports the number of distinct tuples/groups held.

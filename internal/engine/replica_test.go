@@ -136,9 +136,9 @@ func TestReplicaMinMerge(t *testing.T) {
 	if len(delta) != 1 || delta[0][1].Int() != 5 {
 		t.Fatalf("delta = %v", delta)
 	}
-	rows := rep.materialize()
+	rows := rep.appendTo(nil)
 	if len(rows) != 1 || rows[0][0].Int() != 1 || rows[0][1].Int() != 5 {
-		t.Fatalf("materialize = %v", rows)
+		t.Fatalf("appendTo = %v", rows)
 	}
 }
 
@@ -167,7 +167,7 @@ func TestReplicaScanMergeMatchesIndexed(t *testing.T) {
 		fast.mergeFrame(frameOf(fast, b))
 		slow.mergeFrame(frameOf(slow, b))
 	}
-	f, s := fast.materialize(), slow.materialize()
+	f, s := fast.appendTo(nil), slow.appendTo(nil)
 	if len(f) != len(s) {
 		t.Fatalf("sizes differ: %d vs %d", len(f), len(s))
 	}
@@ -233,7 +233,7 @@ func batchAdd(b *outBatch, tu storage.Tuple) int {
 
 func TestOutBatchPartialAggregation(t *testing.T) {
 	// Min batch keeps the best value per group.
-	b := newOutBatch(minPred(t), true)
+	b := newOutBatch(minPred(t), true, nil)
 	batchAdd(b, it(1, 9))
 	batchAdd(b, it(1, 4))
 	batchAdd(b, it(1, 7))
@@ -264,7 +264,7 @@ func TestOutBatchPartialAggregation(t *testing.T) {
 }
 
 func TestOutBatchSetDedup(t *testing.T) {
-	b := newOutBatch(setPred(t), true)
+	b := newOutBatch(setPred(t), true, nil)
 	batchAdd(b, it(1, 2))
 	batchAdd(b, it(1, 2))
 	batchAdd(b, it(2, 1))
@@ -274,7 +274,7 @@ func TestOutBatchSetDedup(t *testing.T) {
 }
 
 func TestOutBatchWithoutPartialAgg(t *testing.T) {
-	b := newOutBatch(minPred(t), false)
+	b := newOutBatch(minPred(t), false, nil)
 	batchAdd(b, it(1, 9))
 	batchAdd(b, it(1, 4))
 	if b.count != 2 {
@@ -285,7 +285,7 @@ func TestOutBatchWithoutPartialAgg(t *testing.T) {
 // TestOutBatchDedupGrowth exercises slot-table growth and generation
 // reuse: far more distinct tuples than the initial dedup table, twice.
 func TestOutBatchDedupGrowth(t *testing.T) {
-	b := newOutBatch(setPred(t), true)
+	b := newOutBatch(setPred(t), true, nil)
 	for round := 0; round < 2; round++ {
 		for i := int64(0); i < 500; i++ {
 			batchAdd(b, it(i, i+1))

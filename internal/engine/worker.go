@@ -20,11 +20,10 @@ type worker struct {
 	// inbox is this worker's wakeup bitmap (run.inboxes[id]).
 	inbox *coord.Inbox
 
-	// freeFrames is the producer-local frame free list. Frames this
-	// worker sent come back to it through the per-edge recycle rings
-	// and are reused here, so a frame's backing arrays stay with the
-	// worker whose batch sizes shaped them.
-	freeFrames []*frame
+	// scratch holds the buffers that outlive the run (scratch.go): the
+	// self-pending arena, the frame free list, recycled out-batches and
+	// delta buffers.
+	scratch
 
 	// replicas[pred][path] is this worker's partition of the relation.
 	replicas [][]*replica
@@ -46,15 +45,6 @@ type worker struct {
 	// wireBufs[pred] is the reusable wire-tuple scratch emit writes
 	// derivations into before they are hashed and routed.
 	wireBufs []storage.Tuple
-
-	// Self-bound derivations are buffered flat until the end of the
-	// local iteration (Algorithm 2 line 16: R ← R ∪ δ happens after
-	// evaluation, and the replica trees must not mutate under an active
-	// probe). selfWords holds the tuple words back to back; selfRefs
-	// records routing plus each tuple's precomputed wire hash. Both
-	// buffers are reset, not reallocated, every iteration.
-	selfWords []storage.Value
-	selfRefs  []selfRef
 
 	// flushPending queues out-batches that crossed flushCap rows while a
 	// kernel was executing; they are flushed at the next cursor-safe
@@ -103,6 +93,9 @@ type worker struct {
 	busyTime      time.Duration
 	merged        int64
 	droppedDeltas bool
+	// freshFrames counts the frames getFrame had to allocate because
+	// neither the free list nor a recycle ring had one.
+	freshFrames int
 }
 
 // deltaCarry is the tail of a taken delta that has not been evaluated.
@@ -166,12 +159,15 @@ func (w *worker) drainSelf() {
 	w.selfWords = w.selfWords[:0]
 }
 
+// newWorker takes a worker from the pool — with whatever scratch an
+// earlier run left in it — and builds its run state.
 func newWorker(run *stratumRun, id int) *worker {
+	w := workerPool.Get().(*worker)
 	// Four frames' worth of rows per out-batch keeps the batch's dedup
 	// slot table small enough to stay cache-resident while preserving
 	// most of the within-iteration dedup scope.
-	w := &worker{id: id, run: run, flushCap: 4 * run.opts.BatchSize, inbox: run.inboxes[id],
-		probeGroup: run.opts.ProbeGroup}
+	*w = worker{id: id, run: run, flushCap: 4 * run.opts.BatchSize, inbox: run.inboxes[id],
+		probeGroup: run.opts.ProbeGroup, scratch: w.scratch}
 	w.wireBufs = make([]storage.Tuple, len(run.st.Preds))
 	for pi := range run.st.Preds {
 		w.wireBufs[pi] = make(storage.Tuple, run.widths[pi])
@@ -181,7 +177,9 @@ func newWorker(run *stratumRun, id int) *worker {
 		w.replicas[pi] = make([]*replica, len(p.Plan.Paths))
 		for path := range p.Plan.Paths {
 			rep := newReplica(p, path, &run.opts)
-			rep.consume = run.consume[pi][path]
+			if rep.consume = run.consume[pi][path]; rep.consume {
+				rep.adoptDelta(pop(&w.deltas))
+			}
 			w.replicas[pi][path] = rep
 		}
 	}
@@ -194,7 +192,7 @@ func newWorker(run *stratumRun, id int) *worker {
 		for pi, p := range run.st.Preds {
 			w.outBufs[d][pi] = make([]*outBatch, len(p.Plan.Paths))
 			for path := range p.Plan.Paths {
-				w.outBufs[d][pi][path] = newOutBatch(p, !run.opts.NoPartialAgg)
+				w.outBufs[d][pi][path] = newOutBatch(p, !run.opts.NoPartialAgg, pop(&w.batches))
 			}
 		}
 	}
@@ -287,9 +285,9 @@ func (w *worker) gather() int {
 // a stratum that stays under the threshold never has more in flight,
 // and widen regrows what a bigger one opened (growRings).
 func (w *worker) openEdge(dest int) *spsc.Queue[*frame] {
-	data, recycle := w.run.ringCaps()
-	q := spsc.New[*frame](data)
-	w.run.recycle[w.id][dest] = spsc.New[*frame](recycle)
+	capacity := w.run.ringCap()
+	q := spsc.New[*frame](capacity)
+	w.run.recycle[w.id][dest] = spsc.New[*frame](capacity)
 	w.run.queues[dest][w.id] = q
 	return q
 }
@@ -316,13 +314,10 @@ func (w *worker) getFrame(width, n int) *frame {
 			q.Drain(func(f *frame) { w.freeFrames = append(w.freeFrames, f) })
 		}
 	}
-	var f *frame
-	if k := len(w.freeFrames) - 1; k >= 0 {
-		f = w.freeFrames[k]
-		w.freeFrames[k] = nil
-		w.freeFrames = w.freeFrames[:k]
-	} else {
+	f := pop(&w.freeFrames)
+	if f == nil {
 		f = &frame{}
+		w.freshFrames++
 	}
 	if cap(f.hashes) < n {
 		f.hashes = make([]uint64, n)

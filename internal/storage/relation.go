@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math"
 	"unsafe"
 
 	"repro/internal/prefetch"
@@ -46,6 +47,13 @@ type Relation interface {
 // per-tuple allocation; tuple views handed out by At and InsertHashed
 // are reconstructed slice headers into the arena, stable for the
 // relation's lifetime.
+//
+// The slot table and the view list are sized together — the view list's
+// capacity is the table's length, which the load factor keeps ahead of
+// the tuple count — and both come from size-class pools: growth hands
+// the outgrown pair back, and Release the final one, so a relation that
+// lives for one stratum leaves its lookup structures to the next
+// relation instead of the garbage collector. The arena is never pooled.
 type SetRelation struct {
 	schema *Schema
 	width  int
@@ -64,23 +72,41 @@ type setSlot struct {
 
 const setMinTable = 16
 
+// setTables and setViews recycle slot tables and view lists by size
+// class (recycle.go).
+var (
+	setTables classPool[setSlot]
+	setViews  classPool[arenaRef]
+)
+
 // NewSetRelation returns an empty set relation over the schema. All
 // inserted tuples must have the schema's arity.
 func NewSetRelation(schema *Schema) *SetRelation {
 	return &SetRelation{
 		schema: schema,
 		width:  schema.Arity(),
+		views:  setViews.get(setMinTable)[:0],
 		table:  newSlotTable(setMinTable),
 		mask:   setMinTable - 1,
 	}
 }
 
 func newSlotTable(n int) []setSlot {
-	t := make([]setSlot, n)
+	t := setTables.get(n)
 	for i := range t {
-		t[i].idx = -1
+		t[i] = setSlot{idx: -1}
 	}
 	return t
+}
+
+// Release hands the slot table and the view list back to their pools.
+// Tuple views already handed out (At, Snapshot, AppendTo) stay valid —
+// they name the arena, which is not released — but the relation itself
+// must not be used again.
+func (r *SetRelation) Release() {
+	setTables.put(r.table, setSlot{hash: ^uint64(0), idx: math.MaxInt32})
+	setViews.put(r.views, arenaRef(^uint64(0)))
+	r.table, r.views = nil, nil
 }
 
 // Schema implements Relation.
@@ -136,7 +162,8 @@ func (r *SetRelation) PrefetchSlot(h uint64) {
 }
 
 // grow doubles the slot table, rehousing every entry by its cached hash
-// (tuples are never re-hashed).
+// (tuples are never re-hashed), and moves the views into a list of the
+// new table's length.
 func (r *SetRelation) grow() {
 	table := newSlotTable(2 * len(r.table))
 	mask := uint64(len(table) - 1)
@@ -150,7 +177,10 @@ func (r *SetRelation) grow() {
 		}
 		table[slot] = s
 	}
-	r.table = table
+	views := setViews.get(len(table))[:len(r.views)]
+	copy(views, r.views)
+	r.Release() // the outgrown pair
+	r.table, r.views = table, views
 	r.mask = mask
 }
 
@@ -195,9 +225,15 @@ func (r *SetRelation) ForEach(fn func(Tuple) bool) {
 // Building the header slice allocates, so hot paths should iterate with
 // Len/At or ForEach instead.
 func (r *SetRelation) Snapshot() []Tuple {
-	out := make([]Tuple, len(r.views))
-	for i, ref := range r.views {
-		out[i] = r.arena.tuple(ref, r.width)
+	return r.AppendTo(make([]Tuple, 0, len(r.views)))
+}
+
+// AppendTo appends the Snapshot views, in insertion order, to dst and
+// returns the extended slice, so that several relations can be
+// collected into one presized slice.
+func (r *SetRelation) AppendTo(dst []Tuple) []Tuple {
+	for _, ref := range r.views {
+		dst = append(dst, r.arena.tuple(ref, r.width))
 	}
-	return out
+	return dst
 }

@@ -122,6 +122,44 @@ func TestSetRelationSnapshotStableAcrossGrowth(t *testing.T) {
 	}
 }
 
+// TestSetRelationReleaseRecycles: a released relation's slot tables and
+// view lists, poisoned on the way back, serve the next relations of the
+// same sizes, and neither the views the released relation handed out
+// nor the new relations' contents notice.
+func TestSetRelationReleaseRecycles(t *testing.T) {
+	PoisonReleased = true
+	defer func() { PoisonReleased = false }()
+	const n = 3000
+	old := NewSetRelation(pairSchema("tc"))
+	for i := int64(0); i < n; i++ {
+		old.Insert(Tuple{IntVal(i), IntVal(-i)})
+	}
+	snap := old.AppendTo(nil)
+	old.Release()
+	for round := int64(1); round <= 3; round++ {
+		r := NewSetRelation(pairSchema("tc"))
+		for i := int64(0); i < n; i++ {
+			if !r.Insert(Tuple{IntVal(i), IntVal(round)}) {
+				t.Fatalf("round %d: tuple %d reported present in a fresh relation", round, i)
+			}
+		}
+		for i := int64(0); i < n; i++ {
+			if !r.Contains(Tuple{IntVal(i), IntVal(round)}) || r.Contains(Tuple{IntVal(i), IntVal(-i)}) {
+				t.Fatalf("round %d: membership of %d wrong after recycling", round, i)
+			}
+		}
+		if r.Len() != n {
+			t.Fatalf("round %d: Len = %d, want %d", round, r.Len(), n)
+		}
+		r.Release()
+	}
+	for i, tu := range snap {
+		if tu[0].Int() != int64(i) || tu[1].Int() != -int64(i) {
+			t.Fatalf("view %d of the released relation = %v", i, tu)
+		}
+	}
+}
+
 // TestSetRelationInsertCopies checks the copy-on-insert contract: the
 // caller's buffer may be mutated and reused after Insert returns.
 func TestSetRelationInsertCopies(t *testing.T) {
