@@ -12,8 +12,7 @@
 // steal (morsel scheduler on vs off: time, busy-time imbalance, steal
 // counters on the tracking suite incl. the hub-skewed cell), ivm
 // (materialized-view incremental refresh vs full recompute across
-// delta sizes on the TC tracking cell), demand (magic-set rewrite on
-// vs off on the bound point-query cells, interleaved A/B).
+// delta sizes on the TC tracking cell).
 package main
 
 import (
@@ -34,7 +33,7 @@ func main() {
 // realMain carries the exit code out so the profile-writing defers run;
 // os.Exit in main would discard them.
 func realMain() int {
-	exp := flag.String("exp", "all", "experiment to run: all, table2, table3, table4, fig1, fig3, fig8, fig9a, fig9b, probes, steal, ivm, demand")
+	exp := flag.String("exp", "all", "experiment to run: all, table2, table3, table4, fig1, fig3, fig8, fig9a, fig9b, probes, steal, ivm")
 	scale := flag.Float64("scale", 1, "dataset scale multiplier")
 	workers := flag.Int("workers", 0, "engine workers (0 = GOMAXPROCS, min 4)")
 	seed := flag.Int64("seed", 42, "generator seed")
@@ -127,9 +126,8 @@ func realMain() int {
 		"probes": func() []*bench.Table { return []*bench.Table{bench.ProbeReport(cfg)} },
 		"steal":  func() []*bench.Table { return []*bench.Table{bench.StealReport(cfg)} },
 		"ivm":    func() []*bench.Table { return []*bench.Table{bench.IvmReport(cfg)} },
-		"demand": func() []*bench.Table { return []*bench.Table{bench.DemandReport(cfg)} },
 	}
-	order := []string{"fig3", "fig1", "table2", "table3", "table4", "fig8", "fig9a", "fig9b", "probes", "steal", "ivm", "demand"}
+	order := []string{"fig3", "fig1", "table2", "table3", "table4", "fig8", "fig9a", "fig9b", "probes", "steal", "ivm"}
 
 	var selected []string
 	switch *exp {

@@ -1046,6 +1046,9 @@ func (db *Database) Explain(src string, opts ...Option) (string, error) {
 	if c.demand != nil {
 		if c.demand.Rewritten() {
 			fmt.Fprintf(&b, "demand rewrite: magic predicates %s\n", strings.Join(c.demand.Magic, ", "))
+			for _, e := range c.demand.Elided {
+				fmt.Fprintf(&b, "demand rewrite: %s\n", e)
+			}
 		} else if len(c.demand.Declined) > 0 {
 			fmt.Fprintf(&b, "demand rewrite declined: %s\n", strings.Join(c.demand.Declined, "; "))
 		}

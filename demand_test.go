@@ -15,9 +15,14 @@ import (
 func demandQueryData(t *testing.T, q queries.Query) (func(*Database), []Option) {
 	t.Helper()
 	switch q.Name {
-	case "TC-bound", "SG-bound":
+	case "TC-bound", "TC-bound-right", "TC-bound-nonlinear", "SG-bound":
 		seed := int64(5)
 		edges := datasets.Gnp(100, 300, seed)
+		if q.Name == "TC-bound-nonlinear" {
+			// Without the rewrite this derives the full closure
+			// non-linearly; a smaller graph keeps the -race run short.
+			edges = datasets.Gnp(48, 120, seed)
+		}
 		load := func(db *Database) {
 			for _, s := range q.EDB {
 				if err := db.DeclareSchema(s); err != nil {
@@ -28,10 +33,10 @@ func demandQueryData(t *testing.T, q queries.Query) (func(*Database), []Option) 
 				t.Fatal(err)
 			}
 		}
-		if q.Name == "TC-bound" {
-			return load, []Option{WithParam("src", edges[0].Src)}
+		if q.Name == "SG-bound" {
+			return load, []Option{WithParam("v", edges[0].Dst)}
 		}
-		return load, []Option{WithParam("v", edges[0].Dst)}
+		return load, []Option{WithParam("src", edges[0].Src)}
 	}
 	return paperQueryData(t, q)
 }
@@ -49,7 +54,7 @@ func TestDemandDifferentialAllQueries(t *testing.T) {
 		name string
 		s    Strategy
 	}{{"global", Global}, {"ssp", SSP}, {"dws", DWS}}
-	all := append(queries.All(), queries.BoundTC(), queries.BoundSG())
+	all := append(queries.All(), queries.BoundTC(), queries.BoundTCRightLinear(), queries.BoundTCNonLinear(), queries.BoundSG())
 	for _, q := range all {
 		q := q
 		t.Run(q.Name, func(t *testing.T) {
@@ -110,9 +115,9 @@ func TestDemandDifferentialAllQueries(t *testing.T) {
 }
 
 // TestDemandExplainShowsMagicAndEstimates pins the EXPLAIN surface: a
-// rewritten bound query names its magic predicates and annotates joins
-// with cardinality estimates once the base is warm enough to have
-// statistics.
+// rewritten bound query names its magic predicates and the guards it
+// elided, and annotates joins with cardinality estimates once the base
+// is warm enough to have statistics.
 func TestDemandExplainShowsMagicAndEstimates(t *testing.T) {
 	q := queries.BoundTC()
 	load, params := demandQueryData(t, q)
@@ -124,6 +129,8 @@ func TestDemandExplainShowsMagicAndEstimates(t *testing.T) {
 	}
 	for _, want := range []string{
 		"demand rewrite: magic predicates tc__magic",
+		"demand rewrite: guard tc__magic(X) elided, implied by tc(X, Z) in tc(X, Y) :- tc(X, Z), arc(Z, Y).",
+		"delta rule (variant 0, outer path [1]): tc(X, Y) :- tc(X, Z), arc(Z, Y).",
 		"tc__magic",
 		"est~",
 	} {

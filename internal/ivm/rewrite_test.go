@@ -1,6 +1,8 @@
 package ivm
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -112,6 +114,30 @@ func TestRewriteTC(t *testing.T) {
 	} {
 		if _, _, err := compileText(src, tcSchemas(), nil, syms); err != nil {
 			t.Errorf("%s program does not compile: %v\n%s", name, err, src)
+		}
+	}
+}
+
+// TestDeltaPlansUnchanged pins the logical plans of a TC view — the full
+// program and its insert, delete and re-derive programs — byte for byte
+// in testdata/explain: the planner's filter cost for an all-bound atom
+// without statistics must not reorder a view's joins.
+func TestDeltaPlansUnchanged(t *testing.T) {
+	rw := buildRewrite(analyze(t, tcSrc, tcSchemas()))
+	syms := storage.NewSymbolTable()
+	for name, src := range map[string]string{
+		"full": tcSrc, "ins": rw.Ins.Source, "del": rw.Del.Source, "red": rw.Red.Source,
+	} {
+		phys, _, err := compileText(src, tcSchemas(), nil, syms)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", "explain", "tc-"+name+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := phys.Plan.Explain(); got != string(want) {
+			t.Errorf("%s plan changed:\n--- got\n%s--- want\n%s", name, got, want)
 		}
 	}
 }

@@ -437,10 +437,12 @@ func orderRule(r *ast.Rule, variant int, inStratum map[string]bool, stats StatsP
 	flushConds()
 	for {
 		// Pick the cheapest unconsumed atom: smallest estimated probe
-		// fan-out when stats cover it, the bound-column prior otherwise.
+		// fan-out when stats cover it, 1 for an atom with every column
+		// bound, the bound-column prior otherwise.
 		// Ties prefer base tables (their indexes are free), then program
-		// order. Without stats every atom uses the prior, which orders
-		// identically to the original greediest-bound-columns heuristic.
+		// order. Without stats every atom with an unbound column uses the
+		// prior, which orders like the original greediest-bound-columns
+		// heuristic.
 		var best *pending
 		bestCost := 0.0
 		bestBase := false
@@ -452,10 +454,18 @@ func orderRule(r *ast.Rule, variant int, inStratum map[string]bool, stats StatsP
 			if !ok {
 				continue
 			}
-			cost := estFanout(atom, boundColsOf(atom))
-			if cost < 0 {
+			cols := boundColsOf(atom)
+			cost := estFanout(atom, cols)
+			switch {
+			case cost >= 0:
+			case len(cols) == len(atom.Args):
+				// Every column bound: an existence check that passes or
+				// drops the row, so it costs a filter, not a join. This
+				// places a demand guard right after its variables bind.
+				cost = 1
+			default:
 				cost = priorRows
-				for range boundColsOf(atom) {
+				for range cols {
 					cost /= priorColSel
 				}
 			}

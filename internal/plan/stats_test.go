@@ -1,10 +1,12 @@
 package plan
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/parser"
 	"repro/internal/pcg"
+	"repro/internal/rewrite"
 	"repro/internal/storage"
 )
 
@@ -115,6 +117,54 @@ func TestPlanCostBasedInnerOrder(t *testing.T) {
 	rp = plain.Strata[0].BaseRules[0]
 	if rp.Elems[1].Atom.Pred != "wide" {
 		t.Fatalf("stats-free second = %s, want wide (program order)", rp.Elems[1].Atom.Pred)
+	}
+}
+
+// TestPlanBoundSGProbesGuardEarly pins where the demand-rewritten SG
+// delta rule probes its kept guard: sg__magic has no statistics, but
+// once arc(A, X) binds X it is an existence check and costs a filter,
+// so it runs before the fan-out join arc(B, Y) — with statistics and
+// without.
+func TestPlanBoundSGProbesGuardEarly(t *testing.T) {
+	params := map[string]storage.Type{"v": storage.TInt}
+	a, err := pcg.Analyze(parser.MustParse(`
+		sg(X, Y) :- arc(P, X), arc(P, Y), X != Y.
+		sg(X, Y) :- arc(A, X), sg(A, B), arc(B, Y).
+		peer(Y) :- sg($v, Y).
+	`), graphSchemas(), params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw := rewrite.Apply(a)
+	if !rw.Rewritten() || len(rw.Elided) != 0 {
+		t.Fatalf("rewritten = %v, elided = %v; want a rewrite that keeps every guard", rw.Rewritten(), rw.Elided)
+	}
+	ra, err := pcg.Analyze(rw.Program, graphSchemas(), params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := fakeStats{"arc": {rows: 1_000, distinct: []int{800, 800}}}
+	for _, opts := range [][]BuildOption{{WithStats(stats)}, nil} {
+		p, err := Build(ra, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rp *RulePlan
+		for _, sp := range p.Strata {
+			if sp.Preds["sg"] != nil {
+				rp = sp.RecRules[0]
+			}
+		}
+		var order []string
+		for _, e := range rp.Elems {
+			if e.Kind == ElemAtom {
+				order = append(order, e.Atom.String())
+			}
+		}
+		want := []string{"sg(A, B)", "arc(A, X)", "sg__magic(X)", "arc(B, Y)"}
+		if strings.Join(order, " ") != strings.Join(want, " ") {
+			t.Fatalf("stats=%v: delta join order = %v, want %v", opts != nil, order, want)
+		}
 	}
 }
 

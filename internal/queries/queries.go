@@ -190,6 +190,34 @@ func BoundTC() Query {
 	}
 }
 
+// BoundTCRightLinear is BoundTC with the recursion on the right: the
+// recursive atom's first column is a fresh variable, so the demand
+// rewrite keeps the rule's guard.
+func BoundTCRightLinear() Query {
+	q := BoundTC()
+	q.Name = "TC-bound-right"
+	q.Source = `
+		tc(X, Y) :- arc(X, Y).
+		tc(X, Y) :- arc(X, Z), tc(Z, Y).
+		reach(Y) :- tc($src, Y).
+	`
+	return q
+}
+
+// BoundTCNonLinear is BoundTC with two recursive atoms; the first
+// carries the head's bound column, so the demand rewrite drops the
+// rule's guard.
+func BoundTCNonLinear() Query {
+	q := BoundTC()
+	q.Name = "TC-bound-nonlinear"
+	q.Source = `
+		tc(X, Y) :- arc(X, Y).
+		tc(X, Y) :- tc(X, Z), tc(Z, Y).
+		reach(Y) :- tc($src, Y).
+	`
+	return q
+}
+
 // BoundSG is the bound point-query variant of SG: the same-generation
 // peers of the single vertex $v.
 func BoundSG() Query {

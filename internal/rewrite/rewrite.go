@@ -31,7 +31,10 @@
 // external occurrences sound: the demanded σ-group is fully derived,
 // so the anti-join's membership answers are exact. Magic-rule bodies
 // keep only the positive prefix (skipping a prefix negation
-// over-approximates demand, which is sound). Within a rewritten
+// over-approximates demand, which is sound). A clique rule with a
+// positive body atom of its head's predicate carrying the head's terms
+// on σ gets no guard: that atom already implies it (impliedBy, recorded
+// in Result.Elided). Within a rewritten
 // clique the predicates' extents become the demanded subset — callers
 // reading a restricted relation directly observe that subset, which
 // dcdatalog documents and its differential tests pin.
@@ -72,6 +75,25 @@ type Result struct {
 	// Declined collects one human-readable reason per clique (or
 	// program-wide condition) the transform skipped.
 	Declined []string
+	// Elided lists the clique rules left without a demand guard because
+	// a positive body atom of the head's own predicate already implies
+	// it, in program order.
+	Elided []Elision
+}
+
+// Elision records one demand guard the rewrite did not prepend.
+type Elision struct {
+	// Rule is the clique rule, which appears unchanged in Program.
+	Rule *ast.Rule
+	// Guard is the magic atom the rule would otherwise start with.
+	Guard *ast.Atom
+	// By is the body atom whose matches all satisfy Guard.
+	By *ast.Atom
+}
+
+// String renders the elision for EXPLAIN.
+func (e Elision) String() string {
+	return fmt.Sprintf("guard %s elided, implied by %s in %s", e.Guard, e.By, e.Rule)
 }
 
 // Rewritten reports whether Apply produced a transformed program.
@@ -117,6 +139,7 @@ func Apply(a *pcg.Analysis) *Result {
 			res.Restricted[p] = true
 		}
 		res.Magic = append(res.Magic, c.magicNames...)
+		res.Elided = append(res.Elided, c.elided...)
 	}
 	prog := &ast.Program{Decls: a.Program.Decls}
 	for _, r := range a.Program.Rules {
@@ -148,6 +171,7 @@ type cliqueRewrite struct {
 	guarded    map[*ast.Rule]*ast.Rule
 	magicRules []*ast.Rule
 	magicNames []string
+	elided     []Elision
 }
 
 // planClique adorns one recursive stratum and generates its transform,
@@ -277,16 +301,21 @@ func planClique(a *pcg.Analysis, s *pcg.Stratum) (*cliqueRewrite, string) {
 
 	// Guarded rules and magic propagation rules, one pass per clique
 	// rule: the guard probes the head's demand, and every in-clique
-	// occurrence propagates demand through the positive prefix.
+	// occurrence propagates demand through the positive prefix. A rule
+	// whose own body already implies the guard keeps its original body.
 	for _, r := range s.Rules {
 		guard := &ast.Atom{Pred: MagicName(r.Head.Pred)}
 		for _, col := range sortedSigma[r.Head.Pred] {
 			guard.Args = append(guard.Args, r.Head.Args[col])
 		}
-		body := make([]ast.Literal, 0, len(r.Body)+1)
-		body = append(body, guard)
-		body = append(body, r.Body...)
-		c.guarded[r] = &ast.Rule{Pos: r.Pos, Head: r.Head, Body: body}
+		if by := impliedBy(r, sortedSigma[r.Head.Pred]); by != nil {
+			c.elided = append(c.elided, Elision{Rule: r, Guard: guard, By: by})
+		} else {
+			body := make([]ast.Literal, 0, len(r.Body)+1)
+			body = append(body, guard)
+			body = append(body, r.Body...)
+			c.guarded[r] = &ast.Rule{Pos: r.Pos, Head: r.Head, Body: body}
+		}
 
 		walkRule(r, preds, sigma, func(occ *ast.Atom, bound map[string]bool, prefix []ast.Literal) {
 			mhead := &ast.Atom{Pred: MagicName(occ.Pred)}
@@ -315,6 +344,30 @@ func planClique(a *pcg.Analysis, s *pcg.Stratum) (*cliqueRewrite, string) {
 	}
 	sort.Strings(c.magicNames)
 	return c, ""
+}
+
+// impliedBy returns a positive body atom of r's head predicate that
+// carries the head's terms at every σ column, or nil. Such an atom makes
+// the head's guard redundant, by induction over derivations: every
+// tuple of the predicate comes from a rule that either carries the
+// guard or is elided by this same test, and magic relations only grow,
+// so the atom only matches tuples whose σ-projection — the head's — is
+// already demanded.
+func impliedBy(r *ast.Rule, sigma []int) *ast.Atom {
+next:
+	for _, l := range r.Body {
+		atom, ok := l.(*ast.Atom)
+		if !ok || atom.Pred != r.Head.Pred {
+			continue
+		}
+		for _, col := range sigma {
+			if !termEqual(atom.Args[col], r.Head.Args[col]) {
+				continue next
+			}
+		}
+		return atom
+	}
+	return nil
 }
 
 // walkRule simulates the left-to-right sideways-information-passing
@@ -434,9 +487,29 @@ func termsEqual(a, b []ast.Term) bool {
 		return false
 	}
 	for i := range a {
-		if fmt.Sprint(a[i]) != fmt.Sprint(b[i]) {
+		if !termEqual(a[i], b[i]) {
 			return false
 		}
 	}
 	return true
+}
+
+// termEqual compares two terms structurally: the same variable, the
+// same literal of the same kind, or the same parameter.
+func termEqual(a, b ast.Term) bool {
+	switch x := a.(type) {
+	case *ast.Var:
+		y, ok := b.(*ast.Var)
+		return ok && x.Name == y.Name
+	case *ast.Num:
+		y, ok := b.(*ast.Num)
+		return ok && *x == *y
+	case *ast.Str:
+		y, ok := b.(*ast.Str)
+		return ok && x.Val == y.Val
+	case *ast.Param:
+		y, ok := b.(*ast.Param)
+		return ok && x.Name == y.Name
+	}
+	return false
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/parser"
 	"repro/internal/pcg"
 	"repro/internal/storage"
@@ -193,6 +194,181 @@ func TestApplyDeclines(t *testing.T) {
 				t.Fatalf("declined = %v, want substring %q", r.Declined, tc.reason)
 			}
 		})
+	}
+}
+
+// guardedHeads returns, per clique rule of pred in the rewritten
+// program, whether its body starts with pred's demand guard.
+func guardedHeads(r *Result, pred string) map[string]bool {
+	out := make(map[string]bool)
+	for _, rule := range r.Program.Rules {
+		if rule.Head.Pred != pred {
+			continue
+		}
+		first, ok := rule.Body[0].(*ast.Atom)
+		body := rule.String()
+		if ok && first.Pred == MagicName(pred) {
+			body = (&ast.Rule{Head: rule.Head, Body: rule.Body[1:]}).String()
+		}
+		out[body] = ok && first.Pred == MagicName(pred)
+	}
+	return out
+}
+
+// TestElideImpliedGuard: a clique rule whose positive body atom of the
+// head's own predicate carries the head's terms on every σ column keeps
+// its original body, and Result.Elided names the guard and the atom;
+// the rules without such an atom stay guarded.
+func TestElideImpliedGuard(t *testing.T) {
+	cases := map[string]struct {
+		src  string
+		pred string
+		// want maps each clique rule, as written, to whether it keeps
+		// its guard.
+		want map[string]bool
+		by   []string // the implying atom of each elision, in order
+	}{
+		"left-linear TC": {
+			src:  leftLinearBoundTC,
+			pred: "tc",
+			want: map[string]bool{
+				"tc(X, Y) :- arc(X, Y).":           true,
+				"tc(X, Y) :- tc(X, Z), arc(Z, Y).": false,
+			},
+			by: []string{"tc(X, Z)"},
+		},
+		"non-linear TC": {
+			src: `
+				tc(X, Y) :- arc(X, Y).
+				tc(X, Y) :- tc(X, Z), tc(Z, Y).
+				reach(Y) :- tc($src, Y).
+			`,
+			pred: "tc",
+			want: map[string]bool{
+				"tc(X, Y) :- arc(X, Y).":          true,
+				"tc(X, Y) :- tc(X, Z), tc(Z, Y).": false,
+			},
+			by: []string{"tc(X, Z)"},
+		},
+		"constant at a σ column": {
+			src: `
+				p(1, Y) :- arc(1, Y).
+				p(1, Y) :- p(1, Z), arc(Z, Y).
+				out(Y) :- p(1, Y).
+			`,
+			pred: "p",
+			want: map[string]bool{
+				"p(1, Y) :- arc(1, Y).":          true,
+				"p(1, Y) :- p(1, Z), arc(Z, Y).": false,
+			},
+			by: []string{"p(1, Z)"},
+		},
+		"right-linear TC": {
+			src: `
+				tc(X, Y) :- arc(X, Y).
+				tc(X, Y) :- arc(X, Z), tc(Z, Y).
+				reach(Y) :- tc($src, Y).
+			`,
+			pred: "tc",
+			want: map[string]bool{
+				"tc(X, Y) :- arc(X, Y).":           true,
+				"tc(X, Y) :- arc(X, Z), tc(Z, Y).": true,
+			},
+		},
+		"SG": {
+			src: `
+				sg(X, Y) :- arc(P, X), arc(P, Y), X != Y.
+				sg(X, Y) :- arc(A, X), sg(A, B), arc(B, Y).
+				peer(Y) :- sg($src, Y).
+			`,
+			pred: "sg",
+			want: map[string]bool{
+				"sg(X, Y) :- arc(P, X), arc(P, Y), X != Y.":   true,
+				"sg(X, Y) :- arc(A, X), sg(A, B), arc(B, Y).": true,
+			},
+		},
+		"other clique predicate": {
+			// q(X, Z) carries p's head term at σ, but it is q's tuple:
+			// nothing says X is demanded of p.
+			src: `
+				p(X, Y) :- arc(X, Y).
+				p(X, Y) :- q(X, Z), arc(Z, Y).
+				q(X, Y) :- p(X, Y).
+				out(Y) :- p($src, Y).
+			`,
+			pred: "p",
+			want: map[string]bool{
+				"p(X, Y) :- arc(X, Y).":          true,
+				"p(X, Y) :- q(X, Z), arc(Z, Y).": true,
+			},
+		},
+	}
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) {
+			r := Apply(analyze(t, c.src, intParam))
+			if !r.Rewritten() {
+				t.Fatalf("not rewritten; declined: %v", r.Declined)
+			}
+			got := guardedHeads(r, c.pred)
+			for rule, guarded := range c.want {
+				g, ok := got[rule]
+				if !ok {
+					t.Fatalf("rule %q missing from the rewritten program:\n%s", rule, progText(r))
+				}
+				if g != guarded {
+					t.Errorf("rule %q guarded = %v, want %v:\n%s", rule, g, guarded, progText(r))
+				}
+			}
+			if len(r.Elided) != len(c.by) {
+				t.Fatalf("Elided = %v, want %d elisions", r.Elided, len(c.by))
+			}
+			for i, e := range r.Elided {
+				if e.By.String() != c.by[i] || e.Guard.Pred != MagicName(c.pred) {
+					t.Errorf("Elided[%d] = %s, want the guard implied by %s", i, e, c.by[i])
+				}
+			}
+			// Demand still propagates from the guard: the magic
+			// predicate keeps its seed and the program re-analyzes.
+			if !strings.Contains(progText(r), MagicName(c.pred)+"(MV0) :- ") {
+				t.Errorf("no seed rule:\n%s", progText(r))
+			}
+			reanalyze(t, r, intParam)
+		})
+	}
+}
+
+// TestImpliedByNeedsSamePositiveAtom pins the elision test on rules the
+// analyzer would reject or that Apply cannot reach: only a positive atom
+// of the head's predicate with the head's own terms on σ implies the
+// guard.
+func TestImpliedByNeedsSamePositiveAtom(t *testing.T) {
+	cases := []struct {
+		rule  string
+		sigma []int
+		want  string // the implying atom, "" for none
+	}{
+		{`p(X, Y) :- p(X, Z), arc(Z, Y).`, []int{0}, "p(X, Z)"},
+		{`p(X, Y) :- arc(X, Z), p(X, Y).`, []int{0, 1}, "p(X, Y)"},
+		{`p(X, Y) :- p(Y, X), arc(X, Y).`, []int{0}, ""},
+		{`p(X, Y) :- p(X, Z), arc(Z, Y).`, []int{0, 1}, ""},
+		{`p(X, Y) :- arc(X, Y), !p(X, Y).`, []int{0}, ""},
+		{`p(1, Y) :- p(2, Z), arc(Z, Y).`, []int{0}, ""},
+		{`p(1, Y) :- p(1.0, Z), arc(Z, Y).`, []int{0}, ""},
+		{`p($a, Y) :- p($b, Z), arc(Z, Y).`, []int{0}, ""},
+		{`p($a, Y) :- p($a, Z), arc(Z, Y).`, []int{0}, "p($a, Z)"},
+	}
+	for _, c := range cases {
+		prog, err := parser.Parse(c.rule)
+		if err != nil {
+			t.Fatalf("%s: %v", c.rule, err)
+		}
+		got := ""
+		if by := impliedBy(prog.Rules[0], c.sigma); by != nil {
+			got = by.String()
+		}
+		if got != c.want {
+			t.Errorf("impliedBy(%s, σ=%v) = %q, want %q", c.rule, c.sigma, got, c.want)
+		}
 	}
 }
 
