@@ -5,14 +5,10 @@
 //	bench -exp table2         # one experiment
 //	bench -exp fig9a -workers 8 -scale 2
 //	bench -exp table2 -cpuprofile cpu.out -mutexprofile mtx.out
-//	bench -setup              # cold vs warm setup time (prepared base)
 //
-// Experiments: table2, table3, table4, fig1, fig3, fig8, fig9a, fig9b,
-// probes (tag-reject / key-skip / Bloom-skip rates on the tracking suite),
-// steal (morsel scheduler on vs off: time, busy-time imbalance, steal
-// counters on the tracking suite incl. the hub-skewed cell), ivm
-// (materialized-view incremental refresh vs full recompute across
-// delta sizes on the TC tracking cell).
+// Experiments: table2, table3, table4, fig1, fig3, fig8, fig9a, fig9b.
+// Performance changes are measured with the repository benchmark
+// (benchmark/), not with this command.
 package main
 
 import (
@@ -33,13 +29,10 @@ func main() {
 // realMain carries the exit code out so the profile-writing defers run;
 // os.Exit in main would discard them.
 func realMain() int {
-	exp := flag.String("exp", "all", "experiment to run: all, table2, table3, table4, fig1, fig3, fig8, fig9a, fig9b, probes, steal, ivm")
+	exp := flag.String("exp", "all", "experiment to run: all, table2, table3, table4, fig1, fig3, fig8, fig9a, fig9b")
 	scale := flag.Float64("scale", 1, "dataset scale multiplier")
 	workers := flag.Int("workers", 0, "engine workers (0 = GOMAXPROCS, min 4)")
 	seed := flag.Int64("seed", 42, "generator seed")
-	benchjson := flag.String("benchjson", "", "run the fixed tracking suite (TC, CC, SSSP, SG, hub-skewed CC at 1/4/8/16 workers) and write JSON to this file ('-' = stdout)")
-	nosteal := flag.Bool("nosteal", false, "disable morsel work stealing in the tracking suite (A/B against the default)")
-	setup := flag.Bool("setup", false, "measure cold vs warm setup time (prepared-base index cache) over the tracking suite")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	mutexprofile := flag.String("mutexprofile", "", "write a mutex-contention profile to this file on exit")
@@ -88,31 +81,7 @@ func realMain() int {
 		}()
 	}
 
-	cfg := bench.Config{Scale: *scale, Workers: *workers, Seed: *seed, NoSteal: *nosteal}
-
-	if *setup {
-		bench.SetupReport(cfg).Render(os.Stdout)
-		return 0
-	}
-
-	if *benchjson != "" {
-		points := bench.Trajectory(cfg)
-		out := os.Stdout
-		if *benchjson != "-" {
-			f, err := os.Create(*benchjson)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-			defer f.Close()
-			out = f
-		}
-		if err := bench.WriteTrajectoryJSON(out, points); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		return 0
-	}
+	cfg := bench.Config{Scale: *scale, Workers: *workers, Seed: *seed}
 
 	runners := map[string]func() []*bench.Table{
 		"table2": func() []*bench.Table { return []*bench.Table{bench.Table2(cfg)} },
@@ -123,11 +92,8 @@ func realMain() int {
 		"fig8":   func() []*bench.Table { return []*bench.Table{bench.Figure8(cfg)} },
 		"fig9a":  func() []*bench.Table { return bench.Figure9a(cfg) },
 		"fig9b":  func() []*bench.Table { return []*bench.Table{bench.Figure9b(cfg)} },
-		"probes": func() []*bench.Table { return []*bench.Table{bench.ProbeReport(cfg)} },
-		"steal":  func() []*bench.Table { return []*bench.Table{bench.StealReport(cfg)} },
-		"ivm":    func() []*bench.Table { return []*bench.Table{bench.IvmReport(cfg)} },
 	}
-	order := []string{"fig3", "fig1", "table2", "table3", "table4", "fig8", "fig9a", "fig9b", "probes", "steal", "ivm"}
+	order := []string{"fig3", "fig1", "table2", "table3", "table4", "fig8", "fig9a", "fig9b"}
 
 	var selected []string
 	switch *exp {

@@ -545,25 +545,6 @@ func WithoutStealing() Option {
 	return func(c *config, _ *Database) error { c.opts.StealOff = true; return nil }
 }
 
-// BloomMode selects when join probes consult the Bloom guards built
-// beside the base hash indexes: BloomAuto (default — anti-joins
-// always, joins adaptively on low hit rates), BloomOff, BloomForce.
-type BloomMode = engine.BloomMode
-
-// Re-exported Bloom-guard policies.
-const (
-	BloomAuto  = engine.BloomAuto
-	BloomOff   = engine.BloomOff
-	BloomForce = engine.BloomForce
-)
-
-// WithBloomGuards sets the Bloom-guard policy for join and anti-join
-// probes (ablation and differential testing; the default BloomAuto is
-// right for production).
-func WithBloomGuards(m BloomMode) Option {
-	return func(c *config, _ *Database) error { c.opts.Bloom = m; return nil }
-}
-
 // WithProbeGroup sets G, the number of independent probe chains each
 // worker keeps in flight in the staged join pipeline (0 = default 16,
 // 1 = serial probes, clamped at 32).

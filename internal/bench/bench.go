@@ -10,7 +10,6 @@ import (
 	"repro/internal/coord"
 	"repro/internal/datasets"
 	"repro/internal/des"
-	"repro/internal/engine"
 	"repro/internal/queries"
 	"repro/internal/storage"
 )
@@ -28,9 +27,6 @@ type Config struct {
 	// baselines; hitting it is reported as OOM, mirroring the paper's
 	// out-of-memory columns for Soufflé-style evaluation.
 	StratCap int
-	// NoSteal disables morsel-driven work stealing in the tracking
-	// suite (A/B comparisons; the steal report sets it per column).
-	NoSteal bool
 }
 
 func (c Config) withDefaults() Config {
@@ -70,19 +66,8 @@ type dataset struct {
 // measurement is one timed engine run.
 type measurement struct {
 	seconds float64
-	setupNS int64  // pre-evaluation setup (base registration + index builds)
 	note    string // "OOM", "NS", "ERR: ..." or empty
 	tuples  int
-	probe   storage.ProbeCounters // memory-level probe statistics
-	steal   engine.StealStats     // morsel-scheduler activity
-	// imbalance is max/mean per-worker busy time (1.0 = balanced).
-	imbalance float64
-	// demandRewritten reports whether the demand (magic-set) rewrite
-	// applied; demandEst/demandActual are the planner's estimated vs
-	// the engine's actual derivation counts where estimable.
-	demandRewritten bool
-	demandEst       int64
-	demandActual    int64
 }
 
 // run executes one query configuration against a fresh database.
@@ -102,18 +87,7 @@ func run(ds dataset, src, output string, opts ...dcdatalog.Option) measurement {
 	if err != nil {
 		return measurement{note: "ERR: " + err.Error()}
 	}
-	stats := res.Stats()
-	m := measurement{
-		seconds:         elapsed,
-		setupNS:         stats.SetupDuration.Nanoseconds(),
-		tuples:          res.Len(output),
-		probe:           stats.Probe,
-		steal:           stats.Steal,
-		imbalance:       stats.Imbalance(),
-		demandRewritten: res.DemandRewritten(),
-	}
-	m.demandEst, m.demandActual = res.DemandCardinalities()
-	return m
+	return measurement{seconds: elapsed, tuples: res.Len(output)}
 }
 
 // engineSpec is one column of the comparison tables.

@@ -3,8 +3,6 @@ package bench
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/datasets"
 )
 
 // tiny returns a configuration small enough for unit tests.
@@ -119,42 +117,5 @@ func TestStratifiedRewriteDivergesAndIsReported(t *testing.T) {
 	// On the (cyclic) LiveJournal stand-in the rewrite diverges.
 	if !strings.Contains(stratCell, "OOM") {
 		t.Fatalf("stratified SSSP should report OOM*, got %q", stratCell)
-	}
-}
-
-func TestInvertRoundTrip(t *testing.T) {
-	base := datasets.Gnp(32, 60, 3)
-	ops := datasets.UpdateStream(base, 32, 40, 0.5, 0, 5)
-	restored := datasets.ApplyUpdates(datasets.ApplyUpdates(base, ops), invert(ops))
-	if len(restored) != len(base) {
-		t.Fatalf("round trip: %d edges, want %d", len(restored), len(base))
-	}
-	want := make(map[datasets.Edge]bool, len(base))
-	for _, e := range base {
-		want[e] = true
-	}
-	for _, e := range restored {
-		if !want[e] {
-			t.Fatalf("round trip produced foreign edge %+v", e)
-		}
-	}
-}
-
-func TestIvmSweepSmall(t *testing.T) {
-	// One interleaved rep at tiny scale: the sweep must produce one
-	// incremental-arm and one recompute-arm point per cell, with the
-	// pure-insertion cell staying on the delta kernel.
-	cfg := Config{Scale: 0.05, Workers: 2, Seed: 1}
-	ms := ivmMeasure(cfg, 1)
-	if len(ms) != len(ivmSweep(0)) {
-		t.Fatalf("measurements = %d, want %d", len(ms), len(ivmSweep(0)))
-	}
-	if ms[0].cell.label != "+1" || ms[0].mode != "incremental" {
-		t.Fatalf("pure-insertion cell = %+v, want incremental", ms[0])
-	}
-	for _, m := range ms {
-		if m.incrNS <= 0 || m.fullNS <= 0 {
-			t.Fatalf("cell %s: non-positive timings %+v", m.cell.label, m)
-		}
 	}
 }

@@ -227,6 +227,28 @@ func TestDifferentialSGWithNegation(t *testing.T) {
 	}
 }
 
+// TestDifferentialAntiJoinMisses drives a fully-bound negation against
+// a base index whose probes almost all miss (few self-loops), so the
+// pure-key ContainsProbe anti-join path runs over thousands of absent
+// keys and a handful of present ones.
+func TestDifferentialAntiJoinMisses(t *testing.T) {
+	src := `
+		node(X) :- arc(X, _).
+		node(X) :- arc(_, X).
+		sink(X) :- node(X), !arc(X, X).
+	`
+	rng := rand.New(rand.NewSource(47))
+	edb := map[string][]storage.Tuple{"arc": pairs(randGraph(rng, 400, 900))}
+	for _, o := range diffConfigs() {
+		got, want := runBoth(t, src, arcSchemas(), edb, nil, o)
+		assertSameRelation(t, "node/"+cfgName(o), got["node"], want["node"])
+		assertSameRelation(t, "sink/"+cfgName(o), got["sink"], want["sink"])
+		if n := len(got["sink"]); n == 0 || n == len(got["node"]) {
+			t.Fatalf("%s: sink has %d of %d nodes; the anti-join must both hit and miss", cfgName(o), n, len(got["node"]))
+		}
+	}
+}
+
 func TestDifferentialPageRank(t *testing.T) {
 	src := `
 		rank(X, sum<(X, I)>) :- matrix(X, _, _), I = (1 - $alpha) / $vnum.

@@ -81,11 +81,12 @@ type kframe struct {
 	// directory walk, key compare and Bloom consultation below charges
 	// it (plain int64s, single writer).
 	pc *storage.ProbeCounters
-	// bloom is the frame's guard state (see bloomState). BloomAuto join
-	// frames start in bloomWarm, counting probes/hits until the warmup
-	// window closes; the decision then freezes into bloomGuard or
-	// bloomPass so the steady-state probe carries one byte compare of
-	// bookkeeping instead of two counters and a ratio.
+	// bloom is a lookup join frame's guard state (see bloomState). A
+	// frame starts warming (the zero value), counting probes/hits until
+	// the warmup window closes; the decision then freezes into
+	// bloomGuard or bloomPass so the steady-state probe carries one
+	// byte compare of bookkeeping instead of two counters and a ratio.
+	// Anti-join frames never consult the guard.
 	bloom       bloomState
 	bloomProbes int32
 	bloomHits   int32
@@ -107,20 +108,23 @@ type kframe struct {
 	prober MembershipProber
 }
 
-// bloomState is a join frame's frozen-or-warming Bloom-guard decision.
+// bloomState is a join frame's warming-or-frozen Bloom-guard decision.
+// The guard earns its keep on miss-heavy positive joins, such as the
+// view-maintenance delta rules probing a base relation with mostly
+// absent keys; joins that mostly hit (the recursive fixpoints) freeze
+// into bloomPass and pay nothing after the warmup.
 type bloomState uint8
 
 const (
-	// bloomPass walks the directory unguarded (BloomOff, or a warmed-up
-	// BloomAuto frame whose probes mostly hit).
-	bloomPass bloomState = iota
-	// bloomGuard consults the index's Bloom filter before every walk
-	// (BloomForce; anti-joins under BloomAuto; warmed-up miss-heavy
-	// BloomAuto join frames).
-	bloomGuard
 	// bloomWarm counts probes and hits until the warmup window closes,
-	// then freezes into bloomGuard or bloomPass (BloomAuto join frames).
-	bloomWarm
+	// then freezes into bloomGuard or bloomPass.
+	bloomWarm bloomState = iota
+	// bloomGuard consults the index's Bloom filter before every walk
+	// (warmed-up miss-heavy frames).
+	bloomGuard
+	// bloomPass walks the directory unguarded (warmed-up frames whose
+	// probes mostly hit).
+	bloomPass
 )
 
 // bloomWarmup is the probe count after which a bloomWarm frame freezes
@@ -134,24 +138,6 @@ func (f *kframe) decideBloom() {
 		f.bloom = bloomGuard
 	} else {
 		f.bloom = bloomPass
-	}
-}
-
-// initBloom derives the frame's starting guard state from the run
-// policy. Anti-join existence probes are guarded whenever guards are
-// allowed at all — absence is the answer negation is looking for.
-func (f *kframe) initBloom(mode BloomMode) {
-	switch mode {
-	case BloomOff:
-		f.bloom = bloomPass
-	case BloomForce:
-		f.bloom = bloomGuard
-	default:
-		if f.kind == physical.OpNeg {
-			f.bloom = bloomGuard
-		} else {
-			f.bloom = bloomWarm
-		}
 	}
 }
 
@@ -201,7 +187,6 @@ func (w *worker) newKernel(r *physical.Rule) *kernel {
 		f.kind = op.Kind
 		f.prevJoin = r.PrevJoin[i]
 		f.pc = &w.pc
-		f.initBloom(w.run.opts.Bloom)
 		switch op.Kind {
 		case physical.OpCond:
 			f.cmp, f.l, f.r = op.Cmp, op.L, op.R
@@ -561,13 +546,6 @@ func (f *kframe) exists(slots []storage.Value) bool {
 			return false
 		}
 		h := storage.HashValues(key)
-		if f.bloom == bloomGuard {
-			f.pc.BloomChecks++
-			if !idx.MayContain(h) {
-				f.pc.BloomSkips++
-				return false
-			}
-		}
 		if f.pureKey {
 			return idx.ContainsProbe(h, key, f.pc)
 		}

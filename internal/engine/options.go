@@ -8,28 +8,6 @@ import (
 	"repro/internal/storage"
 )
 
-// BloomMode selects when join probes consult the per-index Bloom
-// guards built alongside the base hash indexes.
-type BloomMode uint8
-
-const (
-	// BloomAuto (the default) always guards anti-join existence probes
-	// — a negative answer proves absence, which is exactly the common
-	// case negation is checking — and guards positive join probes
-	// adaptively: a frame walks its first bloomWarmup probes unguarded
-	// while counting hits, then freezes the decision — guard from then
-	// on if fewer than a quarter hit, otherwise never guard (and pay no
-	// further bookkeeping). High-hit-rate joins (the recursive tracking
-	// queries) never pay the extra block load.
-	BloomAuto BloomMode = iota
-	// BloomOff never consults the guards (ablation / differential
-	// testing).
-	BloomOff
-	// BloomForce consults the guard on every lookup-shaped probe,
-	// hit-rate regardless (ablation / differential testing).
-	BloomForce
-)
-
 // Options configures a parallel evaluation run.
 type Options struct {
 	// Workers is the number of parallel workers (goroutines); 0 uses
@@ -79,9 +57,6 @@ type Options struct {
 	// generated delta rules guard on a view's live fixpoint without
 	// snapshotting or indexing it per refresh.
 	Probers map[string]MembershipProber
-	// Bloom selects the Bloom-guard policy for join and anti-join
-	// probes (see BloomMode).
-	Bloom BloomMode
 	// ProbeGroup is G, the number of independent probe chains each
 	// worker keeps in flight in the staged join pipeline: probes are
 	// hashed and their directory lines prefetched a group ahead of the

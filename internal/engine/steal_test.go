@@ -60,8 +60,8 @@ func TestStealDifferentialSkewed(t *testing.T) {
 
 // TestStealStatsSkewed checks the scheduler's observability surface on
 // the workload it exists for: a skewed run at 4 workers must publish
-// morsels to the steal plane, record per-worker busy time for every
-// worker, and — whenever any morsel was actually stolen — not be more
+// morsels to the steal plane (a 1-worker run must publish none), record
+// per-worker busy time for every worker, and — whenever any morsel was actually stolen — not be more
 // imbalanced than the same run with stealing off (with slack, since
 // busy-time measurement has coarse-clock granularity).
 func TestStealStatsSkewed(t *testing.T) {
@@ -89,6 +89,14 @@ func TestStealStatsSkewed(t *testing.T) {
 	}
 	if st.MorselsStolen > st.MorselsExecuted {
 		t.Fatalf("stolen (%d) exceeds executed (%d)", st.MorselsStolen, st.MorselsExecuted)
+	}
+	// A single worker has no peer to share with: it publishes nothing.
+	solo, err := Run(prog, edb, Options{Workers: 1, Strategy: coord.DWS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := solo.Stats.Steal.MorselsExecuted; n != 0 {
+		t.Fatalf("1-worker run published %d morsels", n)
 	}
 	// Imbalance ratios live in [1, workers]; the comparison only means
 	// something if thieves actually ran morsels (on one CPU the owner

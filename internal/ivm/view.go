@@ -30,7 +30,7 @@ type Config struct {
 	// materialization.
 	Params map[string]physical.Param
 	// Opts are the engine options every refresh and recompute runs
-	// with (workers, strategy, Bloom policy, ...). Base and Probers are
+	// with (workers, strategy, probe group, ...). Base and Probers are
 	// owned by the view and overwritten per run.
 	Opts engine.Options
 	// Crossover is the churn fraction — net changed tuples over the

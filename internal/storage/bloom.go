@@ -3,9 +3,9 @@ package storage
 import "math/bits"
 
 // Blocked Bloom filter over an index's distinct key hashes, used as a
-// semi-join guard: a negative answer proves the key has no bucket, so
-// anti-joins and miss-heavy probes skip the directory walk (and its
-// random cache lines) after touching exactly one 64-byte block.
+// join guard: a negative answer proves the key has no bucket, so
+// miss-heavy join probes skip the directory walk (and its random cache
+// lines) after touching exactly one 64-byte block.
 //
 // Layout: bloomBlockWords (8) uint64 words per block — one cache line —
 // with the block selected by the hash's low bits and two bit positions

@@ -41,8 +41,7 @@ import (
 //     bucket's first row; every further row is accepted without
 //     touching its key words.
 //   - A blocked Bloom filter over the distinct key hashes (bloom.go),
-//     consulted by anti-joins and miss-heavy probes before the
-//     directory walk.
+//     consulted by miss-heavy join probes before the directory walk.
 type HashIndex struct {
 	keyCols []int
 	width   int

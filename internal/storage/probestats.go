@@ -18,7 +18,7 @@ package storage
 //     because the bucket passed the build-time single-key audit and its
 //     first row already verified the probe key.
 //   - BloomChecks / BloomSkips: Bloom-guard consultations before a
-//     bucket walk, and how many walks the guard skipped entirely.
+//     join's bucket walk, and how many walks the guard skipped entirely.
 type ProbeCounters struct {
 	TagProbes   int64
 	TagRejects  int64
@@ -56,13 +56,4 @@ func (c *ProbeCounters) KeySkipRate() float64 {
 		return 0
 	}
 	return float64(c.KeySkips) / float64(total)
-}
-
-// BloomSkipRate is the fraction of guarded probes the Bloom filter
-// resolved without touching the directory.
-func (c *ProbeCounters) BloomSkipRate() float64 {
-	if c.BloomChecks == 0 {
-		return 0
-	}
-	return float64(c.BloomSkips) / float64(c.BloomChecks)
 }
