@@ -1,13 +1,16 @@
 package ivm
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/datasets"
 	"repro/internal/parser"
 	"repro/internal/pcg"
+	"repro/internal/physical"
 	"repro/internal/storage"
 )
 
@@ -118,25 +121,25 @@ func TestRewriteTC(t *testing.T) {
 	}
 }
 
-// TestDeltaPlansUnchanged pins the logical plans of a TC view — the full
-// program and its insert, delete and re-derive programs — byte for byte
-// in testdata/explain: the planner's filter cost for an all-bound atom
-// without statistics must not reorder a view's joins.
+// TestDeltaPlansUnchanged pins the logical plans a TC view runs — the
+// full program and its insert, delete and re-derive programs, planned
+// with the statistics of a view materialized over a binary tree — byte
+// for byte in testdata/explain.
 func TestDeltaPlansUnchanged(t *testing.T) {
-	rw := buildRewrite(analyze(t, tcSrc, tcSchemas()))
-	syms := storage.NewSymbolTable()
-	for name, src := range map[string]string{
-		"full": tcSrc, "ins": rw.Ins.Source, "del": rw.Del.Source, "red": rw.Red.Source,
+	v, err := New(context.Background(), tcConfig(), map[string][]storage.Tuple{
+		"arc": datasets.EdgeTuples(datasets.Tree(6, 2, 2, 1)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, prog := range map[string]*physical.Program{
+		"full": v.full, "ins": v.insProg, "del": v.delProg, "red": v.redProg,
 	} {
-		phys, _, err := compileText(src, tcSchemas(), nil, syms)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
 		want, err := os.ReadFile(filepath.Join("testdata", "explain", "tc-"+name+".txt"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := phys.Plan.Explain(); got != string(want) {
+		if got := prog.Plan.Explain(); got != string(want) {
 			t.Errorf("%s plan changed:\n--- got\n%s--- want\n%s", name, got, want)
 		}
 	}

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -83,6 +85,28 @@ type RefreshStats struct {
 	DelDuration time.Duration
 	RedDuration time.Duration
 	InsDuration time.Duration
+	// Probe and TuplesDerived sum the engine work of the runs the
+	// refresh completed: the full program on a recompute, the
+	// over-delete, re-derive and insert programs on an incremental
+	// refresh. Unlike the durations they do not depend on the host.
+	Probe         storage.ProbeCounters
+	TuplesDerived int64
+	// DelProbe, RedProbe and InsProbe split Probe by incremental phase.
+	DelProbe storage.ProbeCounters
+	RedProbe storage.ProbeCounters
+	InsProbe storage.ProbeCounters
+}
+
+// addRun adds one completed engine run to the refresh's work counters
+// and, when phase is non-nil, to that phase's probe counters.
+func (st *RefreshStats) addRun(s *engine.Stats, phase *storage.ProbeCounters) {
+	st.Probe.Add(s.Probe)
+	for i := range s.Strata {
+		st.TuplesDerived += s.Strata[i].TuplesDerived
+	}
+	if phase != nil {
+		phase.Add(s.Probe)
+	}
 }
 
 // Stats are a view's cumulative counters.
@@ -133,39 +157,108 @@ type View struct {
 	stats   Stats
 }
 
-// compileText compiles one program text against the view's schemas.
-func compileText(src string, schemas map[string]*storage.Schema, params map[string]physical.Param, syms *storage.SymbolTable) (*physical.Program, *pcg.Analysis, error) {
+// analyzeText parses and analyzes one program text against the view's
+// schemas.
+func analyzeText(src string, schemas map[string]*storage.Schema, params map[string]physical.Param) (*pcg.Analysis, error) {
 	prog, err := parser.Parse(src)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	pt := make(map[string]storage.Type, len(params))
 	for k, p := range params {
 		pt[k] = p.Type
 	}
-	a, err := pcg.Analyze(prog, schemas, pt)
+	return pcg.Analyze(prog, schemas, pt)
+}
+
+// compileAnalysis plans and compiles an analyzed program.
+func compileAnalysis(a *pcg.Analysis, params map[string]physical.Param, syms *storage.SymbolTable, opts ...plan.BuildOption) (*physical.Program, error) {
+	lp, err := plan.Build(a, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return physical.Compile(lp, params, syms)
+}
+
+// compileText compiles one program text against the view's schemas.
+func compileText(src string, schemas map[string]*storage.Schema, params map[string]physical.Param, syms *storage.SymbolTable, opts ...plan.BuildOption) (*physical.Program, *pcg.Analysis, error) {
+	a, err := analyzeText(src, schemas, params)
 	if err != nil {
 		return nil, nil, err
 	}
-	lp, err := plan.Build(a)
-	if err != nil {
-		return nil, nil, err
-	}
-	phys, err := physical.Compile(lp, params, syms)
+	phys, err := compileAnalysis(a, params, syms, opts...)
 	if err != nil {
 		return nil, nil, err
 	}
 	return phys, a, nil
 }
 
-// New compiles the view's programs and materializes the initial
-// fixpoint from the given EDB contents (tuples are deduplicated into
-// multiset mirrors; duplicates count as multiplicity).
+// batchRows is the row count the planner assumes for a per-batch
+// relation (__ivmins, __ivmdel, __ivmdelset); their distinct counts
+// are clamped to it. Those relations hold one refresh's changes, which
+// are small next to the EDB and the fixpoint whenever the refresh stays
+// incremental: a batch past the churn crossover recomputes instead.
+// Costed at their source's size, the re-derive rule's delta variant
+// would probe the post-delete EDB before the killed set, indexing it on
+// one more column on every deleting refresh; at batch scale the batch
+// keeps driving and the rest joins by index.
+const batchRows = 64
+
+// viewStats is the statistics provider a view plans its delta programs
+// with. It maps the rewrite's synthetic relations back to the view's
+// state: an `__ivmnew`/`__ivmold` snapshot reads its base relation's
+// statistics, a seed slice reads its predicate's fixpoint, and the
+// per-batch relations are costed at batch scale.
+type viewStats struct {
+	base *engine.PreparedBase
+	fix  map[string]relStats // the initial fixpoint, per IDB predicate
+}
+
+type relStats struct {
+	rows     int
+	distinct []int
+}
+
+func (s *viewStats) RelStats(name string) (rows int, distinct []int, ok bool) {
+	i := strings.Index(name, "__ivm")
+	if i < 0 {
+		return s.base.RelStats(name)
+	}
+	pred, suffix := name[:i], name[i:]
+	switch {
+	case suffix == newSuffix || suffix == oldSuffix:
+		return s.base.RelStats(pred)
+	case strings.HasPrefix(suffix, sliceInfix):
+		st, ok := s.fix[pred]
+		return st.rows, st.distinct, ok
+	case suffix == insSuffix || suffix == delSuffix || suffix == delsetSuffix:
+		if rows, distinct, ok = s.base.RelStats(pred); !ok {
+			st, isIDB := s.fix[pred]
+			if !isIDB {
+				return 0, nil, false
+			}
+			rows, distinct = st.rows, st.distinct
+		}
+		rows = min(rows, batchRows)
+		clamped := make([]int, len(distinct))
+		for c, d := range distinct {
+			clamped[c] = min(d, rows)
+		}
+		return rows, clamped, true
+	}
+	return 0, nil, false
+}
+
+// New materializes the initial fixpoint from the given EDB contents
+// (tuples are deduplicated into multiset mirrors; duplicates count as
+// multiplicity) and compiles the view's programs. The full program is
+// planned with the EDB's statistics; the delta programs are planned
+// after the fixpoint exists, with viewStats.
 func New(ctx context.Context, cfg Config, edb map[string][]storage.Tuple) (*View, error) {
 	if cfg.Syms == nil {
 		cfg.Syms = storage.NewSymbolTable()
 	}
-	full, a, err := compileText(cfg.Source, cfg.Schemas, cfg.Params, cfg.Syms)
+	a, err := analyzeText(cfg.Source, cfg.Schemas, cfg.Params)
 	if err != nil {
 		return nil, fmt.Errorf("ivm: compile %s: %w", cfg.Name, err)
 	}
@@ -173,7 +266,6 @@ func New(ctx context.Context, cfg Config, edb map[string][]storage.Tuple) (*View
 		cfg:       cfg,
 		crossover: cfg.Crossover,
 		analysis:  a,
-		full:      full,
 		mirrors:   make(map[string]*storage.CountedSetRelation),
 		idx:       make(map[string]*liveIndex),
 		edb:       make(map[string][]storage.Tuple),
@@ -182,21 +274,6 @@ func New(ctx context.Context, cfg Config, edb map[string][]storage.Tuple) (*View
 	if v.crossover == 0 {
 		v.crossover = defaultCrossover
 	}
-	v.reason = ineligible(a)
-	if v.reason == "" {
-		v.rw = buildRewrite(a)
-		if v.insProg, _, err = compileText(v.rw.Ins.Source, cfg.Schemas, cfg.Params, cfg.Syms); err != nil {
-			return nil, fmt.Errorf("ivm: compile insert program for %s: %w", cfg.Name, err)
-		}
-		if v.delProg, _, err = compileText(v.rw.Del.Source, cfg.Schemas, cfg.Params, cfg.Syms); err != nil {
-			return nil, fmt.Errorf("ivm: compile delete program for %s: %w", cfg.Name, err)
-		}
-		if v.redProg, _, err = compileText(v.rw.Red.Source, cfg.Schemas, cfg.Params, cfg.Syms); err != nil {
-			return nil, fmt.Errorf("ivm: compile rederive program for %s: %w", cfg.Name, err)
-		}
-	}
-	v.stats.Ineligible = v.reason
-
 	for rel := range a.EDB {
 		sch := cfg.Schemas[rel]
 		if sch == nil {
@@ -210,22 +287,46 @@ func New(ctx context.Context, cfg Config, edb map[string][]storage.Tuple) (*View
 		v.edb[rel] = mir.LiveSnapshot()
 	}
 	v.base = engine.NewPreparedBase(cfg.Schemas, v.edb)
-	if err := v.materialize(ctx); err != nil {
+	if v.full, err = compileAnalysis(a, cfg.Params, cfg.Syms, plan.WithStats(v.base)); err != nil {
+		return nil, fmt.Errorf("ivm: compile %s: %w", cfg.Name, err)
+	}
+	res, err := v.materialize(ctx)
+	if err != nil {
 		return nil, err
+	}
+
+	v.reason = ineligible(a)
+	v.stats.Ineligible = v.reason
+	if v.reason == "" {
+		v.rw = buildRewrite(a)
+		fix := make(map[string]relStats, len(res.Relations))
+		for pred, ts := range res.Relations {
+			fix[pred] = relStats{rows: len(ts), distinct: storage.ColumnDistincts(ts, runtime.GOMAXPROCS(0))}
+		}
+		stats := plan.WithStats(&viewStats{base: v.base, fix: fix})
+		if v.insProg, _, err = compileText(v.rw.Ins.Source, cfg.Schemas, cfg.Params, cfg.Syms, stats); err != nil {
+			return nil, fmt.Errorf("ivm: compile insert program for %s: %w", cfg.Name, err)
+		}
+		if v.delProg, _, err = compileText(v.rw.Del.Source, cfg.Schemas, cfg.Params, cfg.Syms, stats); err != nil {
+			return nil, fmt.Errorf("ivm: compile delete program for %s: %w", cfg.Name, err)
+		}
+		if v.redProg, _, err = compileText(v.rw.Red.Source, cfg.Schemas, cfg.Params, cfg.Syms, stats); err != nil {
+			return nil, fmt.Errorf("ivm: compile rederive program for %s: %w", cfg.Name, err)
+		}
 	}
 	return v, nil
 }
 
 // materialize runs the full program over the current snapshots and
 // (re)builds the counted fixpoints. Caller holds the lock (or is New).
-func (v *View) materialize(ctx context.Context) error {
+func (v *View) materialize(ctx context.Context) (*engine.Result, error) {
 	opts := v.cfg.Opts
 	opts.Base = v.base
 	opts.Probers = nil
 	res, err := engine.RunContext(ctx, v.full, v.edb, opts)
 	if err != nil {
 		v.stale = true
-		return err
+		return nil, err
 	}
 	fix := make(map[string]*storage.CountedSetRelation, len(res.Relations))
 	for pred, tuples := range res.Relations {
@@ -239,7 +340,7 @@ func (v *View) materialize(ctx context.Context) error {
 	v.fix = fix
 	v.idx = make(map[string]*liveIndex)
 	v.stale = false
-	return nil
+	return res, nil
 }
 
 // Apply queues mutations; they take effect at the next Refresh.
@@ -358,10 +459,17 @@ func (v *View) computeSlice(spec sliceSpec, src []storage.Tuple, st *RefreshStat
 	ix.extend()
 	seen := make([]uint64, (fx.Len()+63)/64)
 	key := make([]storage.Value, len(spec.SrcCols))
+	// Batch tuples often share their anchor key — every killed tc(X, _)
+	// of one X — so each distinct key's matches are walked once.
+	probed := storage.NewSetRelation(storage.NewSchema(spec.Name, make([]storage.Column, len(key))...))
+	defer probed.Release()
 	var out []storage.Tuple
 	for _, t := range src {
 		for i, c := range spec.SrcCols {
 			key[i] = t[c]
+		}
+		if !probed.Insert(key) {
+			continue
 		}
 		ix.probe(key, func(ord int32, tt storage.Tuple) {
 			if seen[ord/64]&(1<<(ord%64)) != 0 {
@@ -462,7 +570,7 @@ func (v *View) Refresh(ctx context.Context) (RefreshStats, error) {
 	}
 	if reason != "" {
 		st.Mode, st.Reason = "full", reason
-		err := v.recompute(ctx)
+		err := v.recompute(ctx, &st)
 		st.Duration = time.Since(start)
 		if err != nil {
 			return st, err
@@ -479,7 +587,7 @@ func (v *View) Refresh(ctx context.Context) (RefreshStats, error) {
 			// at delta-kernel prices, so recompute directly instead.
 			st.Mode, st.Reason = "full", "over-delete outran its budget"
 			st.OverDeleted, st.Rederived = 0, 0
-			if rerr := v.recompute(ctx); rerr != nil {
+			if rerr := v.recompute(ctx, &st); rerr != nil {
 				v.stale = true
 				st.Duration = time.Since(start)
 				return st, rerr
@@ -512,8 +620,8 @@ func (v *View) recordRefresh(st RefreshStats) {
 
 // recompute rebuilds snapshots for dirty relations from the mirrors,
 // rebases the prepared base (unmutated relations keep their memoized
-// indexes), and re-runs the full program.
-func (v *View) recompute(ctx context.Context) error {
+// indexes), and re-runs the full program, adding its work to st.
+func (v *View) recompute(ctx context.Context, st *RefreshStats) error {
 	edb := make(map[string][]storage.Tuple, len(v.edb))
 	for rel, ts := range v.edb {
 		if v.dirty[rel] {
@@ -525,10 +633,12 @@ func (v *View) recompute(ctx context.Context) error {
 	base := v.base.Rebase(v.cfg.Schemas, edb, v.dirty)
 	old := v.base
 	v.base, v.edb = base, edb
-	if err := v.materialize(ctx); err != nil {
+	res, err := v.materialize(ctx)
+	if err != nil {
 		v.base = old // keep index reuse possible; snapshots stay current
 		return err
 	}
+	st.addRun(&res.Stats, nil)
 	v.dirty = make(map[string]bool)
 	return nil
 }
@@ -614,6 +724,7 @@ func (v *View) incremental(ctx context.Context, netIns, netDel map[string][]stor
 			}
 			return err
 		}
+		st.addRun(&res.Stats, &st.DelProbe)
 		opts.MaxTuples = v.cfg.Opts.MaxTuples
 		killed := make(map[string][]storage.Tuple)
 		for dname, orig := range v.rw.Del.Deltas {
@@ -641,6 +752,7 @@ func (v *View) incremental(ctx context.Context, netIns, netDel map[string][]stor
 			if err != nil {
 				return err
 			}
+			st.addRun(&res.Stats, &st.RedProbe)
 			for rname, orig := range v.rw.Red.Deltas {
 				fx := v.fix[orig]
 				for _, t := range res.Relations[rname] {
@@ -688,6 +800,7 @@ func (v *View) incremental(ctx context.Context, netIns, netDel map[string][]stor
 		if err != nil {
 			return err
 		}
+		st.addRun(&res.Stats, &st.InsProbe)
 		for dname, orig := range v.rw.Ins.Deltas {
 			fx := v.fix[orig]
 			for _, t := range res.Relations[dname] {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/coord"
+	"repro/internal/datasets"
 	"repro/internal/engine"
 	"repro/internal/storage"
 )
@@ -318,37 +319,148 @@ func TestViewRandomizedDifferential(t *testing.T) {
 			for i := 0; i < 40; i++ {
 				arcs = append(arcs, pair(rng.Int63n(nodes), rng.Int63n(nodes)))
 			}
-			ctx := context.Background()
-			v, err := New(ctx, cfg, map[string][]storage.Tuple{"arc": arcs})
-			if err != nil {
-				t.Fatal(err)
-			}
-			incr := 0
-			for round := 0; round < 12; round++ {
-				n := 1 + rng.Intn(4)
-				var muts []Mutation
-				for i := 0; i < n; i++ {
-					mut := Mutation{Rel: "arc", Tuple: pair(rng.Int63n(nodes), rng.Int63n(nodes))}
-					if live := v.EDBRelation("arc"); rng.Intn(2) == 0 && len(live) > 0 {
-						mut = Mutation{Rel: "arc", Tuple: live[rng.Intn(len(live))], Delete: true}
-					}
-					muts = append(muts, mut)
-				}
-				if err := v.Apply(muts); err != nil {
-					t.Fatal(err)
-				}
-				st, err := v.Refresh(ctx)
-				if err != nil {
-					t.Fatalf("round %d: %v", round, err)
-				}
-				if st.Mode == "incremental" {
-					incr++
-				}
-				checkAgainstCold(t, v, cfg, "tc")
-			}
-			if incr == 0 {
-				t.Fatal("no round exercised the incremental path")
-			}
+			fuzzView(t, rng, cfg, arcs, nodes, "tc")
 		})
+	}
+}
+
+// fuzzView materializes cfg over arcs, applies twelve random batches of
+// one to four edge inserts or deletes over vertices [0, nodes), and
+// checks the view's out relation against a cold recompute after every
+// refresh; at least one refresh must stay incremental.
+func fuzzView(t *testing.T, rng *rand.Rand, cfg Config, arcs []storage.Tuple, nodes int64, out string) {
+	t.Helper()
+	ctx := context.Background()
+	v, err := New(ctx, cfg, map[string][]storage.Tuple{"arc": arcs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	incr := 0
+	for round := 0; round < 12; round++ {
+		n := 1 + rng.Intn(4)
+		var muts []Mutation
+		for i := 0; i < n; i++ {
+			mut := Mutation{Rel: "arc", Tuple: pair(rng.Int63n(nodes), rng.Int63n(nodes))}
+			if live := v.EDBRelation("arc"); rng.Intn(2) == 0 && len(live) > 0 {
+				mut = Mutation{Rel: "arc", Tuple: live[rng.Intn(len(live))], Delete: true}
+			}
+			muts = append(muts, mut)
+		}
+		if err := v.Apply(muts); err != nil {
+			t.Fatal(err)
+		}
+		st, err := v.Refresh(ctx)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if st.Mode == "incremental" {
+			incr++
+		}
+		checkAgainstCold(t, v, cfg, out)
+	}
+	if incr == 0 {
+		t.Fatal("no round exercised the incremental path")
+	}
+}
+
+// TestViewRederiveProbesPerKill pins the work of the re-derive phase,
+// host-independently: deleting the root's first edge in a binary tree
+// over-deletes every path through it, and each killed tc(0, Y) must be
+// re-checked by probing the post-delete arc on Y, then the kept
+// fixpoint as a filter — one row walked and a few directory slots per
+// kill. A plan that enumerates every live tc(0, _) first and probes arc
+// on (Z, Y) for each walks ~500 rows per kill on this tree. Its arc
+// misses mostly stop at the adaptive Bloom guard, so its tag-lane
+// inspections read only ~14 per kill; the row bound is the one it
+// misses by orders of magnitude.
+func TestViewRederiveProbesPerKill(t *testing.T) {
+	cfg := tcConfig()
+	ctx := context.Background()
+	v, err := New(ctx, cfg, map[string][]storage.Tuple{
+		"arc": datasets.EdgeTuples(datasets.Tree(9, 2, 2, 1)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Apply([]Mutation{{Rel: "arc", Tuple: pair(0, 1), Delete: true}}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := v.Refresh(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Mode != "incremental" || st.OverDeleted == 0 {
+		t.Fatalf("refresh = %+v, want an incremental refresh that over-deletes", st)
+	}
+	checkAgainstCold(t, v, cfg, "tc")
+	red := st.RedProbe
+	kills := float64(st.OverDeleted)
+	if got := float64(red.TagProbes) / kills; got > 6 {
+		t.Errorf("re-derive inspected %.1f tag slots per over-deleted tuple, want ≤ 6 (%+v)", got, red)
+	}
+	if got := float64(red.KeyCompares+red.KeySkips) / kills; got > 4 {
+		t.Errorf("re-derive walked %.1f index rows per over-deleted tuple, want ≤ 4 (%+v)", got, red)
+	}
+	var sum storage.ProbeCounters
+	sum.Add(st.DelProbe)
+	sum.Add(st.RedProbe)
+	sum.Add(st.InsProbe)
+	if sum != st.Probe {
+		t.Errorf("phase probes sum to %+v, want the refresh total %+v", sum, st.Probe)
+	}
+	if st.TuplesDerived < int64(st.OverDeleted) {
+		t.Errorf("TuplesDerived = %d, below the %d over-deleted tuples the delete run derived", st.TuplesDerived, st.OverDeleted)
+	}
+}
+
+// TestViewProgramsDifferential extends the TC differential to eligible
+// programs where the statistics-driven planner has a real choice in the
+// delta programs: a two-hop rule with two EDB joins, a recursive rule
+// under a `!=` condition, and a rule with a constant argument. Each
+// runs random insert/delete batches over a tree and over a random
+// graph, and after every refresh the view must equal a cold recompute.
+func TestViewProgramsDifferential(t *testing.T) {
+	programs := []struct{ name, src, out string }{
+		{"two-hop", `
+			p(X, Y) :- arc(X, Y).
+			p(X, Y) :- p(X, Z), arc(Z, W), arc(W, Y).`, "p"},
+		{"neq", `
+			p(X, Y) :- arc(X, Y), Y != X.
+			p(X, Y) :- p(X, Z), arc(Z, Y), Y != X.`, "p"},
+		{"const", `
+			reach(Y) :- arc(0, Y).
+			reach(Y) :- reach(X), arc(X, Y).`, "reach"},
+	}
+	graphs := []struct {
+		name  string
+		nodes int64
+		arcs  func(rng *rand.Rand) []storage.Tuple
+	}{
+		{"tree", 31, func(*rand.Rand) []storage.Tuple { return datasets.EdgeTuples(datasets.Tree(4, 2, 2, 1)) }},
+		{"random", 24, func(rng *rand.Rand) []storage.Tuple {
+			var arcs []storage.Tuple
+			for i := 0; i < 40; i++ {
+				arcs = append(arcs, pair(rng.Int63n(24), rng.Int63n(24)))
+			}
+			return arcs
+		}},
+	}
+	for _, prog := range programs {
+		for _, g := range graphs {
+			for _, strat := range []coord.Kind{coord.Global, coord.SSP, coord.DWS} {
+				prog, g, strat := prog, g, strat
+				t.Run(fmt.Sprintf("%s/%s/%v", prog.name, g.name, strat), func(t *testing.T) {
+					rng := rand.New(rand.NewSource(7))
+					cfg := tcConfig()
+					cfg.Source = prog.src
+					cfg.Crossover = 0.9
+					cfg.Opts = engine.Options{Workers: 3, Strategy: strat, BatchSize: 8}
+					if reason := ineligible(analyze(t, prog.src, cfg.Schemas)); reason != "" {
+						t.Fatalf("program ineligible: %s", reason)
+					}
+					fuzzView(t, rng, cfg, g.arcs(rng), g.nodes, prog.out)
+				})
+			}
+		}
 	}
 }
