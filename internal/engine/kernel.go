@@ -78,18 +78,9 @@ type kframe struct {
 	pureKey bool
 
 	// pc points at the owning worker's probe-counter bag; every
-	// directory walk, key compare and Bloom consultation below charges
-	// it (plain int64s, single writer).
+	// directory walk and key compare below charges it (plain int64s,
+	// single writer).
 	pc *storage.ProbeCounters
-	// bloom is a lookup join frame's guard state (see bloomState). A
-	// frame starts warming (the zero value), counting probes/hits until
-	// the warmup window closes; the decision then freezes into
-	// bloomGuard or bloomPass so the steady-state probe carries one
-	// byte compare of bookkeeping instead of two counters and a ratio.
-	// Anti-join frames never consult the guard.
-	bloom       bloomState
-	bloomProbes int32
-	bloomHits   int32
 
 	// Cursor state. Base-lookup cursors are [pos, end) row-ordinal
 	// ranges into the index arena (srcBaseLookup) or the scan slice
@@ -106,39 +97,6 @@ type kframe struct {
 	// prober serves srcProber frames: a caller-owned membership oracle
 	// standing in for a stored relation (fully-bound negation only).
 	prober MembershipProber
-}
-
-// bloomState is a join frame's warming-or-frozen Bloom-guard decision.
-// The guard earns its keep on miss-heavy positive joins, such as the
-// view-maintenance delta rules probing a base relation with mostly
-// absent keys; joins that mostly hit (the recursive fixpoints) freeze
-// into bloomPass and pay nothing after the warmup.
-type bloomState uint8
-
-const (
-	// bloomWarm counts probes and hits until the warmup window closes,
-	// then freezes into bloomGuard or bloomPass.
-	bloomWarm bloomState = iota
-	// bloomGuard consults the index's Bloom filter before every walk
-	// (warmed-up miss-heavy frames).
-	bloomGuard
-	// bloomPass walks the directory unguarded (warmed-up frames whose
-	// probes mostly hit).
-	bloomPass
-)
-
-// bloomWarmup is the probe count after which a bloomWarm frame freezes
-// its guard decision: guard only if fewer than 1/4 of the warmup
-// probes hit.
-const bloomWarmup = 512
-
-// decideBloom closes a frame's warmup window.
-func (f *kframe) decideBloom() {
-	if f.bloomHits < f.bloomProbes/4 {
-		f.bloom = bloomGuard
-	} else {
-		f.bloom = bloomPass
-	}
 }
 
 // kernel is one worker's executable form of one rule variant: the frame
@@ -364,29 +322,8 @@ func (f *kframe) enterJoin(slots []storage.Value) bool {
 		if idx == nil {
 			return false
 		}
-		h := storage.HashValues(key)
 		f.keyOK = false
-		switch f.bloom {
-		case bloomGuard:
-			f.pc.BloomChecks++
-			if !idx.MayContain(h) {
-				f.pc.BloomSkips++
-				f.pos, f.end = 0, 0
-				return false
-			}
-			f.pos, f.end = idx.ProbeRange(h, f.pc)
-		case bloomWarm:
-			f.pos, f.end = idx.ProbeRange(h, f.pc)
-			f.bloomProbes++
-			if f.pos < f.end {
-				f.bloomHits++
-			}
-			if f.bloomProbes >= bloomWarmup {
-				f.decideBloom()
-			}
-		default: // bloomPass: steady state, no guard bookkeeping
-			f.pos, f.end = idx.ProbeRange(h, f.pc)
-		}
+		f.pos, f.end = idx.ProbeRange(storage.HashValues(key), f.pc)
 	case srcBaseScan:
 		f.pos, f.end = 0, len(f.scanRows)
 	case srcSetScan:
@@ -536,8 +473,8 @@ func (f *kframe) exists(slots []storage.Value) bool {
 	f.key = key
 	if f.src == srcProber {
 		// Virtual relation: the key is the full tuple in schema order
-		// (validated at run start); no Bloom, no index — one oracle
-		// call. The buffer is reused, so the oracle must not retain it.
+		// (validated at run start); no index — one oracle call. The
+		// buffer is reused, so the oracle must not retain it.
 		return f.prober.ContainsTuple(storage.Tuple(key))
 	}
 	if f.src == srcBaseLookup {

@@ -179,8 +179,7 @@ type StratumStats struct {
 	// the OOM/DNF analogue for diverging baselines).
 	Capped bool
 	// Probe sums the workers' memory-level probe counters — tag-lane
-	// rejects, audited key-compare skips, Bloom-guard skips — for this
-	// stratum.
+	// rejects and audited key-compare skips — for this stratum.
 	Probe storage.ProbeCounters
 	// BusyTime is per-worker evaluation time: kernel execution over
 	// seeds, local deltas and morsels (own or stolen), excluding

@@ -19,8 +19,8 @@ import (
 //	stage 1  bind + filter + hash every tuple's probe key, and issue a
 //	         prefetch for the directory line the hash selects;
 //	stage 2  resolve every cursor against the (by now resident)
-//	         directory — Bloom guard first when enabled — and issue a
-//	         prefetch for the first arena row / chain entry;
+//	         directory and issue a prefetch for the first arena row /
+//	         chain entry;
 //	stage 3  run each member's full frame walk from its pre-resolved
 //	         cursor.
 //
@@ -181,32 +181,14 @@ func (w *worker) execBlock(k *kernel, block []storage.Tuple) {
 			}
 		}
 		// Stage 2: resolve cursors against the prefetched directory,
-		// prefetch the first row each walk will read. Empty buckets and
-		// Bloom-rejected probes drop out (the pipeline frame is the
-		// rule's first join, so an empty cursor means the member derives
-		// nothing).
+		// prefetch the first row each walk will read. Empty buckets drop
+		// out (the pipeline frame is the rule's first join, so an empty
+		// cursor means the member derives nothing).
 		if k.pfSrc == srcBaseLookup {
 			idx := pf.baseIdx
 			for i := 0; i < ns; i++ {
 				st := &w.stages[i]
-				if pf.bloom == bloomGuard {
-					pf.pc.BloomChecks++
-					if !idx.MayContain(st.h) {
-						pf.pc.BloomSkips++
-						st.skip = true
-						continue
-					}
-				}
 				st.pos, st.end = idx.ProbeRange(st.h, pf.pc)
-				if pf.bloom == bloomWarm {
-					pf.bloomProbes++
-					if st.pos < st.end {
-						pf.bloomHits++
-					}
-					if pf.bloomProbes >= bloomWarmup {
-						pf.decideBloom()
-					}
-				}
 				if st.pos >= st.end {
 					st.skip = true
 					continue

@@ -369,10 +369,9 @@ func fuzzView(t *testing.T, rng *rand.Rand, cfg Config, arcs []storage.Tuple, no
 // re-checked by probing the post-delete arc on Y, then the kept
 // fixpoint as a filter — one row walked and a few directory slots per
 // kill. A plan that enumerates every live tc(0, _) first and probes arc
-// on (Z, Y) for each walks ~500 rows per kill on this tree. Its arc
-// misses mostly stop at the adaptive Bloom guard, so its tag-lane
-// inspections read only ~14 per kill; the row bound is the one it
-// misses by orders of magnitude.
+// on (Z, Y) for each walks ~500 rows and inspects ~670 tag slots per
+// kill on this tree, so it misses both bounds by two orders of
+// magnitude.
 func TestViewRederiveProbesPerKill(t *testing.T) {
 	cfg := tcConfig()
 	ctx := context.Background()

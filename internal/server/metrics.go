@@ -25,16 +25,13 @@ type Metrics struct {
 
 	// Probe-path counters, summed over completed queries: the tagged
 	// directory's traffic (probes / tag rejects), the audited-bucket
-	// compare ledger (compares done / compares skipped) and the Bloom
-	// guards (probes checked / directory walks skipped). Ratios are for
+	// compare ledger (compares done / compares skipped). Ratios are for
 	// dashboards to derive: e.g. skip efficiency = skips / (compares +
 	// skips).
 	ProbeTagProbes   atomic.Int64
 	ProbeTagRejects  atomic.Int64
 	ProbeKeyCompares atomic.Int64
 	ProbeKeySkips    atomic.Int64
-	ProbeBloomChecks atomic.Int64
-	ProbeBloomSkips  atomic.Int64
 
 	// Morsel-scheduler counters, summed over completed queries: delta
 	// blocks published to the steal plane, the subset executed by a
@@ -168,8 +165,6 @@ func (m *Metrics) WritePrometheus(w io.Writer, counters []counter, gauges ...gau
 	emit("dcserve_probe_tag_rejects_total", "Directory slots rejected by the 1-byte tag without a key compare.", m.ProbeTagRejects.Load())
 	emit("dcserve_probe_key_compares_total", "Full-key arena compares performed on probe paths.", m.ProbeKeyCompares.Load())
 	emit("dcserve_probe_key_skips_total", "Full-key compares eliminated by the single-key bucket audit.", m.ProbeKeySkips.Load())
-	emit("dcserve_probe_bloom_checks_total", "Probes consulted against a Bloom guard.", m.ProbeBloomChecks.Load())
-	emit("dcserve_probe_bloom_skips_total", "Directory walks skipped because the Bloom guard ruled the key out.", m.ProbeBloomSkips.Load())
 	emit("dcserve_steal_morsels_total", "Delta blocks published to the work-stealing plane.", m.StealMorsels.Load())
 	emit("dcserve_steal_stolen_total", "Published morsels executed by a worker other than their owner.", m.StealStolen.Load())
 	emit("dcserve_steal_attempts_total", "Steal probes against a peer's deque.", m.StealAttempts.Load())

@@ -428,8 +428,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.metrics.ProbeTagRejects.Add(stats.Probe.TagRejects)
 	s.metrics.ProbeKeyCompares.Add(stats.Probe.KeyCompares)
 	s.metrics.ProbeKeySkips.Add(stats.Probe.KeySkips)
-	s.metrics.ProbeBloomChecks.Add(stats.Probe.BloomChecks)
-	s.metrics.ProbeBloomSkips.Add(stats.Probe.BloomSkips)
 	s.metrics.StealMorsels.Add(stats.Steal.MorselsExecuted)
 	s.metrics.StealStolen.Add(stats.Steal.MorselsStolen)
 	s.metrics.StealAttempts.Add(stats.Steal.Attempts)

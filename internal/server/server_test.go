@@ -381,8 +381,6 @@ func TestHealthzAndMetrics(t *testing.T) {
 		"dcserve_probe_tag_rejects_total",
 		"dcserve_probe_key_compares_total",
 		"dcserve_probe_key_skips_total",
-		"dcserve_probe_bloom_checks_total",
-		"dcserve_probe_bloom_skips_total",
 		"dcserve_steal_morsels_total",
 		"dcserve_steal_stolen_total",
 		"dcserve_steal_attempts_total",

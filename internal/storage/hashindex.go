@@ -27,7 +27,7 @@ import (
 // arena (Value is a uint64) contains pointers, so a resident index
 // adds nothing to GC scan work.
 //
-// Three memory-level-parallelism structures ride beside the directory:
+// Two memory-level-parallelism structures ride beside the directory:
 //
 //   - A Swiss-table-style tag lane: one byte per slot holding the top
 //     hash bits (0 = empty). The linear probe scans the byte lane — 64
@@ -40,8 +40,6 @@ import (
 //     away). On an audited index a probe full-key-compares only the
 //     bucket's first row; every further row is accepted without
 //     touching its key words.
-//   - A blocked Bloom filter over the distinct key hashes (bloom.go),
-//     consulted by miss-heavy join probes before the directory walk.
 type HashIndex struct {
 	keyCols []int
 	width   int
@@ -62,10 +60,6 @@ type HashIndex struct {
 	// model reads it via DistinctKeys.
 	distinct int
 	arena    []Value
-
-	// Blocked Bloom filter over distinct key hashes (see bloom.go).
-	bloom     []uint64
-	bloomMask uint64
 }
 
 // idxSlot is one directory entry: a distinct key hash and its
@@ -112,9 +106,7 @@ func NewHashIndex(tuples []Tuple, keyCols []int) *HashIndex {
 		hs[i] = t.HashOn(keyCols)
 	}
 	idx.arena = make([]Value, idx.n*idx.width)
-	idx.bloom = make([]uint64, bloomBlocks(idx.n, 1)*bloomBlockWords)
-	idx.bloomMask = uint64(len(idx.bloom)/bloomBlockWords - 1)
-	region, tags, keyed, distinct := buildRegion(tuples, idx.width, keyCols, 0, hs, nil, 0, idx.arena, idx.bloom, idx.bloomMask)
+	region, tags, keyed, distinct := buildRegion(tuples, idx.width, keyCols, 0, hs, nil, 0, idx.arena)
 	idx.dirs = [][]idxSlot{region}
 	idx.tags = [][]uint8{tags}
 	idx.keyed = keyed
@@ -129,14 +121,13 @@ func (idx *HashIndex) DistinctKeys() int { return idx.distinct }
 // buildRegion groups one partition's entries into buckets: an
 // open-addressed slot region over the partition's distinct key hashes
 // (plus its byte tag lane), the rows scattered bucket-contiguously into
-// arena[rowBase*width:], the partition's distinct hashes added to the
-// shared Bloom filter, and the single-key audit over the scattered
+// arena[rowBase*width:], and the single-key audit over the scattered
 // buckets. hs lists the entries' key hashes; rows maps entries to tuple
 // ordinals (nil means the identity, i.e. the whole relation in one
 // partition). The three passes are count → prefix-sum → scatter; the
 // scatter reuses each slot's start as its write cursor and the final
 // fixup pass rewinds it, so the build needs no side arrays.
-func buildRegion(tuples []Tuple, width int, keyCols []int, pShift uint8, hs []uint64, rows []uint32, rowBase int, arena []Value, bloom []uint64, bloomMask uint64) ([]idxSlot, []uint8, bool, int) {
+func buildRegion(tuples []Tuple, width int, keyCols []int, pShift uint8, hs []uint64, rows []uint32, rowBase int, arena []Value) ([]idxSlot, []uint8, bool, int) {
 	k := len(hs)
 	if k == 0 {
 		return nil, nil, true, 0
@@ -152,7 +143,6 @@ func buildRegion(tuples []Tuple, width int, keyCols []int, pShift uint8, hs []ui
 				s.hash = h
 				s.count = 1
 				distinct++
-				bloomAdd(bloom, bloomMask, h)
 				break
 			}
 			if s.hash == h {
@@ -249,9 +239,7 @@ const parallelBuildMin = 8192
 // sums into disjoint scatter cursors, and each partition's bucket
 // region then builds independently. The result is identical (including
 // bucket order, which follows tuple order) to calling NewHashIndex per
-// lookup. The Bloom filter's block count is at least the partition
-// count, so phase D's concurrent bloomAdd calls land in
-// partition-disjoint blocks.
+// lookup.
 func BuildHashIndexes(tuples []Tuple, lookups [][]int, workers int) []*HashIndex {
 	out := make([]*HashIndex, len(lookups))
 	if len(lookups) == 0 {
@@ -305,19 +293,16 @@ func BuildHashIndexes(tuples []Tuple, lookups [][]int, workers int) []*HashIndex
 	}
 	states := make([]*buildState, len(lookups))
 	for l, cols := range lookups {
-		blocks := bloomBlocks(n, nParts)
 		st := &buildState{
 			idx: &HashIndex{
-				keyCols:   cols,
-				width:     width,
-				n:         n,
-				pMask:     pMask,
-				pShift:    pShift,
-				dirs:      make([][]idxSlot, nParts),
-				tags:      make([][]uint8, nParts),
-				arena:     make([]Value, n*width),
-				bloom:     make([]uint64, blocks*bloomBlockWords),
-				bloomMask: uint64(blocks - 1),
+				keyCols: cols,
+				width:   width,
+				n:       n,
+				pMask:   pMask,
+				pShift:  pShift,
+				dirs:    make([][]idxSlot, nParts),
+				tags:    make([][]uint8, nParts),
+				arena:   make([]Value, n*width),
 			},
 			hs:        make([]uint64, n),
 			counts:    make([][]uint32, nShards),
@@ -374,15 +359,14 @@ func BuildHashIndexes(tuples []Tuple, lookups [][]int, workers int) []*HashIndex
 		}
 	})
 
-	// Phase D: build every partition's bucket region, tag lane and
-	// Bloom blocks, and scatter its rows, parallel over (index,
-	// partition) — regions, tag lanes, arena row ranges and Bloom
-	// blocks are all disjoint by construction.
+	// Phase D: build every partition's bucket region and tag lane, and
+	// scatter its rows, parallel over (index, partition) — regions, tag
+	// lanes and arena row ranges are all disjoint by construction.
 	runTasks(workers, len(lookups)*nParts, func(task int) {
 		st, p := states[task/nParts], task%nParts
 		lo, hi := st.partStart[p], st.partStart[p+1]
 		st.idx.dirs[p], st.idx.tags[p], st.kflags[p], st.dcounts[p] = buildRegion(tuples, width, st.idx.keyCols, pShift,
-			st.partH[lo:hi], st.partRow[lo:hi], int(lo), st.idx.arena, st.idx.bloom, st.idx.bloomMask)
+			st.partH[lo:hi], st.partRow[lo:hi], int(lo), st.idx.arena)
 	})
 	for _, st := range states {
 		for _, d := range st.dcounts {

@@ -6,11 +6,11 @@ import (
 )
 
 // Property and fuzz coverage for the tagged directory: the byte tag
-// lane, the single-key bucket audit and the Bloom guard are pure
-// probe accelerations, so every counted probe entry point must agree
-// with the map oracle — and with the untagged directory walk — on any
-// build, including the degenerate shapes (zero rows, every row one
-// key, adversarial same-bucket keys).
+// lane and the single-key bucket audit are pure probe accelerations,
+// so every counted probe entry point must agree with the map oracle —
+// and with the untagged directory walk — on any build, including the
+// degenerate shapes (zero rows, every row one key, adversarial
+// same-bucket keys).
 
 // oracleRows returns the oracle's bucket for key (nil when absent).
 func oracleRows(m *mapIndex, key []Value) []Tuple {
@@ -36,9 +36,6 @@ func checkProbeAgreement(t *testing.T, tuples []Tuple, keyCols []int, idx *HashI
 		h := HashValues(key)
 		want := oracleRows(ref, key)
 
-		if !idx.MayContain(h) {
-			t.Fatalf("bloom rejected present key %v", key)
-		}
 		if !idx.ContainsProbe(h, key, &pc) {
 			t.Fatalf("ContainsProbe(%v) = false for present key", key)
 		}
@@ -80,8 +77,8 @@ func checkProbeAgreement(t *testing.T, tuples []Tuple, keyCols []int, idx *HashI
 			}
 		}
 	}
-	// Absent keys: tagged and untagged walks agree, ContainsProbe says
-	// no, and a Bloom rejection never contradicts the directory.
+	// Absent keys: tagged and untagged walks agree, and ContainsProbe
+	// says no.
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 256; i++ {
 		key := make([]Value, len(keyCols))
@@ -92,9 +89,6 @@ func checkProbeAgreement(t *testing.T, tuples []Tuple, keyCols []int, idx *HashI
 		want := len(oracleRows(ref, key)) > 0
 		if got := idx.ContainsProbe(h, key, &pc); got != want {
 			t.Fatalf("ContainsProbe(%v) = %v, oracle %v", key, got, want)
-		}
-		if want && !idx.MayContain(h) {
-			t.Fatalf("bloom rejected present key %v", key)
 		}
 		s1, e1 := idx.ProbeRange(h, &pc)
 		s2, e2 := idx.rangeOfNoTag(h)
@@ -139,8 +133,8 @@ func TestTaggedDirectoryProperties(t *testing.T) {
 }
 
 // TestTaggedDirectoryParallelBuild re-runs the agreement suite over the
-// sharded parallel build, whose tag lanes, Bloom blocks and audit flags
-// are assembled per partition.
+// sharded parallel build, whose tag lanes and audit flags are
+// assembled per partition.
 func TestTaggedDirectoryParallelBuild(t *testing.T) {
 	tuples := randTuples(parallelBuildMin*2, 3, 400, 17)
 	for _, idx := range BuildHashIndexes(tuples, [][]int{{0}, {0, 2}}, 4) {
@@ -171,8 +165,7 @@ func TestSingleKeyAuditDetectsCollision(t *testing.T) {
 	}
 	hs := []uint64{0xdeadbeef, 0xdeadbeef} // forged: same "hash", different keys
 	arena := make([]Value, 4)
-	bloom := make([]uint64, bloomBlockWords)
-	region, tags, keyed, _ := buildRegion(tuples, 2, []int{0}, 0, hs, nil, 0, arena, bloom, 0)
+	region, tags, keyed, _ := buildRegion(tuples, 2, []int{0}, 0, hs, nil, 0, arena)
 	if keyed {
 		t.Fatalf("audit accepted a bucket holding two distinct keys")
 	}
@@ -189,22 +182,28 @@ func TestSingleKeyAuditDetectsCollision(t *testing.T) {
 	}
 }
 
-// TestBloomNoFalseNegatives checks the guard's one-sided contract over
-// a large build: every present key passes, and the fill (and so the
-// false-positive rate) stays within the sizing rule's design range.
+// TestBloomNoFalseNegatives checks that a large sparse build has no
+// false negatives on the join probe path: under both the sequential
+// and the sharded parallel build, ContainsProbe and ProbeRange find
+// every present key.
 func TestBloomNoFalseNegatives(t *testing.T) {
 	tuples := randTuples(50_000, 2, 1<<40, 3)
-	idx := NewHashIndex(tuples, []int{0})
-	for _, tu := range tuples {
-		if !idx.MayContain(HashValues(keyOf(tu, []int{0}))) {
-			t.Fatalf("bloom false negative for %v", tu)
+	builds := map[string]*HashIndex{
+		"sequential": NewHashIndex(tuples, []int{0}),
+		"parallel":   BuildHashIndexes(tuples, [][]int{{0}}, 2)[0],
+	}
+	for name, idx := range builds {
+		var pc ProbeCounters
+		for _, tu := range tuples {
+			key := keyOf(tu, []int{0})
+			h := HashValues(key)
+			if !idx.ContainsProbe(h, key, &pc) {
+				t.Fatalf("%s: ContainsProbe false negative for %v", name, tu)
+			}
+			if start, end := idx.ProbeRange(h, &pc); start >= end {
+				t.Fatalf("%s: ProbeRange false negative for %v", name, tu)
+			}
 		}
-	}
-	if fill := idx.bloomFill(); fill > 0.5 {
-		t.Fatalf("bloom fill %.2f exceeds design bound (sizing broken?)", fill)
-	}
-	if idx.BloomBits() < 50_000*bloomBitsPerRow/2 {
-		t.Fatalf("bloom undersized: %d bits", idx.BloomBits())
 	}
 }
 
@@ -267,9 +266,9 @@ func BenchmarkProbeTagAB(b *testing.B) {
 	})
 }
 
-// BenchmarkBloomGuardMiss measures the anti-join miss path: absent keys
-// through the Bloom guard vs. straight directory walks.
-func BenchmarkBloomGuardMiss(b *testing.B) {
+// BenchmarkProbeMiss measures the miss path: absent keys walked
+// through the tagged directory.
+func BenchmarkProbeMiss(b *testing.B) {
 	const n = 100_000
 	tuples := randTuples(n, 2, 1<<40, 42)
 	idx := NewHashIndex(tuples, []int{0})
@@ -280,22 +279,12 @@ func BenchmarkBloomGuardMiss(b *testing.B) {
 		keys[i] = []Value{IntVal(rng.Int63())} // effectively all absent
 		hashes[i] = HashValues(keys[i])
 	}
-	b.Run("bloom", func(b *testing.B) {
-		var pc ProbeCounters
-		for i := 0; i < b.N; i++ {
-			j := i % len(keys)
-			if idx.MayContain(hashes[j]) {
-				idx.ContainsProbe(hashes[j], keys[j], &pc)
-			}
-		}
-	})
-	b.Run("direct", func(b *testing.B) {
-		var pc ProbeCounters
-		for i := 0; i < b.N; i++ {
-			j := i % len(keys)
-			idx.ContainsProbe(hashes[j], keys[j], &pc)
-		}
-	})
+	var pc ProbeCounters
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % len(keys)
+		idx.ContainsProbe(hashes[j], keys[j], &pc)
+	}
 }
 
 func BenchmarkProbeCounted(b *testing.B) {

@@ -17,8 +17,9 @@ package storage
 //     actually performed, vs. rows accepted without any key compare
 //     because the bucket passed the build-time single-key audit and its
 //     first row already verified the probe key.
-//   - BloomChecks / BloomSkips: Bloom-guard consultations before a
-//     join's bucket walk, and how many walks the guard skipped entirely.
+//   - BloomChecks / BloomSkips: nothing writes them, so they read 0.
+//     They stay only because the frozen benchmark harness still reads
+//     them, and go with its next revision (ROADMAP item 2).
 type ProbeCounters struct {
 	TagProbes   int64
 	TagRejects  int64

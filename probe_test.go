@@ -10,12 +10,11 @@ import (
 // TestBloomDifferentialAllQueries runs every paper query under each
 // coordination strategy with three workers — cold, and through the
 // warm prepared-base path (Prepare + two Execs, so the second Exec
-// probes memoized indexes and their Bloom filters) — and requires both
-// to match a two-worker run of the same strategy. Guard decisions are
-// per worker join frame, taken when its warmup window closes, so
-// splitting the probe stream two or three ways changes which frames
-// guard, pass or stay warming. Float-valued queries (PR) compare
-// within the differential suite's relative tolerance.
+// probes memoized indexes) — and requires both to match a two-worker
+// run of the same strategy. Splitting the probe stream two or three
+// ways changes which worker probes which key through the tagged
+// directory, never the rows a join finds. Float-valued queries (PR)
+// compare within the differential suite's relative tolerance.
 func TestBloomDifferentialAllQueries(t *testing.T) {
 	strategies := []struct {
 		name string
